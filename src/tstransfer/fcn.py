@@ -7,6 +7,16 @@ training loop are all implemented directly on float64 numpy arrays; no
 learning framework is involved. Global average pooling makes the classifier
 independent of the input length, so one model can consume series of any
 length.
+
+Activations are channels-last, (B, T, C), from the stacked batch to the
+pooling. Each convolution lays its input out as B zero-padded segments of
+T+K-1 rows stacked in one buffer, so its im2col matrix is one strided view
+and one copy, and the whole batch is one GEMM; the K-1 output rows between
+two segments straddle two series and are dropped. The backward pass uses the
+same layout for the weight gradient and computes the input gradient as a
+transposed convolution, also one GEMM. Evaluation folds each block's
+running-stat batch-norm into the convolution's weights and bias.
+Weights keep the (Cout, Cin, K) layout in memory and on disk.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ DEFAULT_FILTERS = (128, 256, 128)
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
-_EVAL_CHUNK = 256
+_EVAL_CHUNK = 16  # im2col of one chunk: about 13 MB at T=128
 
 
 @dataclass
@@ -214,78 +224,135 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return kernel // 2, (kernel - 1) // 2
 
 
+def _segments(x: np.ndarray, left: int, right: int) -> np.ndarray:
+    """(B, T, C) as one (B*(left+T+right), C) array of zero-padded segments."""
+    batch, length, channels = x.shape
+    padded = np.zeros((batch, left + length + right, channels))
+    padded[:, left : left + length] = x
+    return padded.reshape(-1, channels)
+
+
+def _im2col(flat: np.ndarray, kernel: int) -> np.ndarray:
+    """Contiguous (R-K+1, K*C) matrix whose row q is flat[q : q+K] end to end.
+
+    flat is a C-contiguous (R, C) array, so the rows are overlapping runs
+    of one buffer: a strided view, then a single copy.
+    """
+    channels = flat.shape[1]
+    return sliding_window_view(flat.reshape(-1), kernel * channels)[::channels].copy()
+
+
+def _unsegment(rows: np.ndarray, batch: int, length: int, kernel: int) -> np.ndarray:
+    """(B, T, C) view of per-segment rows, dropping the K-1 straddling rows."""
+    return rows.reshape(batch, length + kernel - 1, -1)[:, :length]
+
+
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Stride-1 zero-padded convolution, output length equals input length.
 
-    x: (B, Cin, T), w: (Cout, Cin, K). Returns (out (B, Cout, T), cols) where
-    cols is the (B*T, Cin*K) im2col matrix reused by the backward pass.
+    x: (B, T, Cin) channels-last, w: (Cout, Cin, K). A single-channel
+    batch may also come as (B, 1, T), which has the same memory layout. The
+    input is laid out as B zero-padded segments of T+K-1 rows each, stacked
+    into one buffer, so im2col row q is the contiguous run of K rows
+    starting at q and the whole batch is one GEMM. The K-1 rows after each
+    segment's T outputs straddle two series; they are computed and dropped.
+    Returns (out (B, T, Cout), cols) where cols is the
+    (B*(T+K-1)-(K-1), K*Cin) im2col matrix, with columns ordered (k, cin),
+    reused by the backward pass.
     """
-    batch, in_ch, length = x.shape
-    out_ch, _, kernel = w.shape
-    left, _ = _pad_amounts(kernel)
-    padded = np.zeros((batch, in_ch, length + kernel - 1))
-    padded[:, :, left : left + length] = x
-    windows = sliding_window_view(padded, kernel, axis=2)  # (B, Cin, T, K)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(
-        batch * length, in_ch * kernel
-    )
-    wmat = w.reshape(out_ch, in_ch * kernel)
-    out2 = cols @ wmat.T + b
-    out = np.ascontiguousarray(out2.reshape(batch, length, out_ch).transpose(0, 2, 1))
+    out_ch, in_ch, kernel = w.shape
+    batch = x.shape[0]
+    x = x.reshape(batch, -1, in_ch)
+    length = x.shape[1]
+    left, right = _pad_amounts(kernel)
+    cols = _im2col(_segments(x, left, right), kernel)
+    wmat = w.transpose(2, 1, 0).reshape(kernel * in_ch, out_ch)
+    out = np.empty((cols.shape[0] + kernel - 1, out_ch))
+    np.matmul(cols, wmat, out=out[: cols.shape[0]])
+    out = _unsegment(out, batch, length, kernel)
+    out += b
     return out, cols
 
 
-def conv1d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape):
-    """Gradients of the padded convolution w.r.t. input, weights, and bias."""
-    batch, in_ch, length = x_shape
-    out_ch, _, kernel = w.shape
-    left, _ = _pad_amounts(kernel)
-    dout2 = np.ascontiguousarray(dout.transpose(0, 2, 1)).reshape(
-        batch * length, out_ch
-    )
-    db = dout2.sum(axis=0)
-    dw = (dout2.T @ cols).reshape(w.shape)
-    dcols = (dout2 @ w.reshape(out_ch, in_ch * kernel)).reshape(
-        batch, length, in_ch, kernel
-    )
-    dcols = dcols.transpose(0, 2, 1, 3)  # (B, Cin, T, K)
-    dpadded = np.zeros((batch, in_ch, length + kernel - 1))
-    for k in range(kernel):
-        dpadded[:, :, k : k + length] += dcols[:, :, :, k]
-    dx = np.ascontiguousarray(dpadded[:, :, left : left + length])
-    return dx, dw, db
+def conv1d_backward(
+    dout: np.ndarray,
+    cols: np.ndarray,
+    w: np.ndarray,
+    x_shape,
+    *,
+    input_grad: bool = True,
+):
+    """Gradients of the padded convolution w.r.t. input, weights, and bias.
+
+    dout is (B, T, Cout) and x_shape the shape of the forward's input. dout
+    is zero-padded into segments that mirror the forward's (`right` zeros
+    before, `left` after). Read from row `right` on, that one buffer holds
+    dout in each segment's first T rows and zeros in the straddling rows, so
+    dW = cols^T @ dout is one GEMM. dx is the transposed convolution: im2col
+    of the padded dout times the kernel-flipped weights, again one GEMM,
+    returned in x_shape. With input_grad=False, dx is not computed and None
+    is returned in its place.
+    """
+    batch, length, _ = dout.shape
+    out_ch, in_ch, kernel = w.shape
+    left, right = _pad_amounts(kernel)
+    flat = _segments(dout, right, left)
+    rows = cols.shape[0]
+    db = dout.sum(axis=(0, 1))
+    dw = (cols.T @ flat[right : right + rows]).reshape(kernel, in_ch, out_ch)
+    dw = np.ascontiguousarray(dw.transpose(2, 1, 0))
+    if not input_grad:
+        return None, dw, db
+    wflip = w[:, :, ::-1].transpose(2, 0, 1).reshape(kernel * out_ch, in_ch)
+    dx = np.empty((rows + kernel - 1, in_ch))
+    np.matmul(_im2col(flat, kernel), wflip, out=dx[:rows])
+    return _unsegment(dx, batch, length, kernel).reshape(x_shape), dw, db
 
 
 def batchnorm_forward_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize per channel with batch statistics over (batch, time).
 
-    Returns (y, xhat, inv_std, batch_mean, batch_var); batch_var is the
-    population variance.
+    x is (B, T, C). Returns (y, xhat, inv_std, batch_mean, batch_var);
+    batch_var is the population variance.
     """
-    mu = x.mean(axis=(0, 2))
-    var = x.var(axis=(0, 2))
+    mu = x.mean(axis=(0, 1))
+    xhat = x - mu
+    var = np.einsum("btc,btc->c", xhat, xhat) / (x.shape[0] * x.shape[1])
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = (x - mu[None, :, None]) * inv_std[None, :, None]
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
+    xhat *= inv_std
+    y = xhat * gamma
+    y += beta
     return y, xhat, inv_std, mu, var
 
 
 def batchnorm_forward_eval(x, gamma, beta, running_mean, running_var):
-    inv_std = 1.0 / np.sqrt(running_var + BN_EPSILON)
-    scale = (gamma * inv_std)[None, :, None]
-    shift = (beta - gamma * running_mean * inv_std)[None, :, None]
-    return x * scale + shift
+    """Normalize channels-last x (..., C) with the running statistics."""
+    scale = gamma / np.sqrt(running_var + BN_EPSILON)
+    return (x - running_mean) * scale + beta
+
+
+def _fold_batchnorm(model: FcnModel, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block i's conv weights and bias with running-stat batch-norm folded in.
+
+    BN(W x + b) = (scale W) x + BN(b) per output channel, with
+    scale = gamma / sqrt(running_var + eps).
+    """
+    gamma, beta = model.bn_gamma[i], model.bn_beta[i]
+    mean, var = model.bn_mean[i], model.bn_var[i]
+    w = model.conv_w[i] * (gamma / np.sqrt(var + BN_EPSILON))[:, None, None]
+    b = batchnorm_forward_eval(model.conv_b[i], gamma, beta, mean, var)
+    return w, b
 
 
 def batchnorm_backward(dy, xhat, inv_std, gamma):
-    """Backprop through the batch-statistics normalization path."""
-    batch, _, length = dy.shape
-    n = batch * length
-    dgamma = (dy * xhat).sum(axis=(0, 2))
-    dbeta = dy.sum(axis=(0, 2))
-    dx = (gamma * inv_std)[None, :, None] * (
-        dy - dbeta[None, :, None] / n - xhat * (dgamma[None, :, None] / n)
-    )
+    """Backprop through the batch-statistics normalization path (B, T, C)."""
+    n = dy.shape[0] * dy.shape[1]
+    dgamma = np.einsum("btc,btc->c", dy, xhat)
+    dbeta = dy.sum(axis=(0, 1))
+    dx = xhat * (dgamma / n)
+    np.subtract(dy, dx, out=dx)
+    dx -= dbeta / n
+    dx *= gamma * inv_std
     return dx, dgamma, dbeta
 
 
@@ -303,7 +370,7 @@ def _stack_batch(batch) -> np.ndarray:
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ValueError(f"batch mixes series lengths {sorted(lengths)}")
-    return np.asarray(series, dtype=np.float64)[:, None, :]
+    return np.asarray(series, dtype=np.float64)[:, :, None]
 
 
 def _split_pairs(split) -> tuple[list, list[int]]:
@@ -323,36 +390,31 @@ def _split_pairs(split) -> tuple[list, list[int]]:
 def _forward_impl(model: FcnModel, x: np.ndarray, training: bool):
     """Run the body and head; in training mode also update running stats.
 
-    Returns (logits, caches); caches hold what backprop needs and is None in
-    eval mode.
+    x is (B, T, 1). Returns (logits, caches); caches hold what backprop
+    needs and is None in eval mode. Eval mode folds each block's running-stat
+    batch-norm into its convolution, so a block is one conv and one ReLU.
     """
     caches = [] if training else None
     out = x
     for i in range(3):
+        if not training:
+            out, _ = conv1d_forward(out, *_fold_batchnorm(model, i))
+            np.maximum(out, 0.0, out=out)
+            continue
         conv_in_shape = out.shape
         out, cols = conv1d_forward(out, model.conv_w[i], model.conv_b[i])
-        if training:
-            out, xhat, inv_std, mu, var = batchnorm_forward_train(
-                out, model.bn_gamma[i], model.bn_beta[i]
-            )
-            model.bn_mean[i] = BN_MOMENTUM * model.bn_mean[i] + (1 - BN_MOMENTUM) * mu
-            model.bn_var[i] = BN_MOMENTUM * model.bn_var[i] + (1 - BN_MOMENTUM) * var
-        else:
-            out = batchnorm_forward_eval(
-                out,
-                model.bn_gamma[i],
-                model.bn_beta[i],
-                model.bn_mean[i],
-                model.bn_var[i],
-            )
+        out, xhat, inv_std, mu, var = batchnorm_forward_train(
+            out, model.bn_gamma[i], model.bn_beta[i]
+        )
+        model.bn_mean[i] = BN_MOMENTUM * model.bn_mean[i] + (1 - BN_MOMENTUM) * mu
+        model.bn_var[i] = BN_MOMENTUM * model.bn_var[i] + (1 - BN_MOMENTUM) * var
         mask = out > 0
-        out = out * mask
-        if training:
-            caches.append((conv_in_shape, cols, xhat, inv_std, mask))
-    gap = out.mean(axis=2)  # (B, F3)
+        out *= mask
+        caches.append((conv_in_shape, cols, xhat, inv_std, mask))
+    gap = out.mean(axis=1)  # (B, F3)
     logits = gap @ model.head_w + model.head_b
     if training:
-        return logits, (caches, gap, out.shape[2])
+        return logits, (caches, gap, out.shape[1])
     return logits, None
 
 
@@ -408,12 +470,15 @@ def _loss_and_gradients_impl(model: FcnModel, batch):
     grads["head.bias"] = dlogits.sum(axis=0)
     dgap = dlogits @ model.head_w.T
 
-    dout = np.broadcast_to((dgap / length)[:, :, None], (batch_size, gap.shape[1], length))
+    dout = (dgap / length)[:, None, :]
     for i in (2, 1, 0):
         conv_in_shape, cols, xhat, inv_std, mask = caches[i]
         dout = dout * mask
         dout, dgamma, dbeta = batchnorm_backward(dout, xhat, inv_std, model.bn_gamma[i])
-        dout, dw, db = conv1d_backward(dout, cols, model.conv_w[i], conv_in_shape)
+        # The network input needs no gradient.
+        dout, dw, db = conv1d_backward(
+            dout, cols, model.conv_w[i], conv_in_shape, input_grad=i > 0
+        )
         grads[f"bn{i + 1}.gamma"] = dgamma
         grads[f"bn{i + 1}.beta"] = dbeta
         grads[f"conv{i + 1}.weight"] = dw
@@ -528,7 +593,8 @@ def train(model: FcnModel, train_split, config: TrainConfig):
 def evaluate(model: FcnModel, split) -> float:
     """Fraction of samples whose argmax class matches the label (eval mode).
 
-    Argmax ties resolve to the lowest class index.
+    Argmax ties resolve to the lowest class index. Series go through the
+    network _EVAL_CHUNK at a time, which bounds the im2col buffers.
     """
     series, labels = _split_pairs(split)
     if not series:

@@ -112,6 +112,17 @@ def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int, cache):
     return result
 
 
+def _baseline_accuracy(model, target: Dataset, seed: int, cache) -> float:
+    """Test accuracy of the scratch baseline; memoized per (target, seed)."""
+    key = ("baseline_accuracy", target.name, seed)
+    if cache is not None and key in cache:
+        return cache[key]
+    accuracy = evaluate(model, target.test)
+    if cache is not None:
+        cache[key] = accuracy
+    return accuracy
+
+
 def run_pair(
     source: Dataset, target: Dataset, config: TrainConfig, seed: int, _cache=None
 ) -> PairResult:
@@ -133,7 +144,7 @@ def run_pair(
     tuned, tuned_hist = fine_tune(
         pretrained, target, replace(config, seed=finetune_seed), head_seed
     )
-    baseline_acc = evaluate(baseline_model, target.test)
+    baseline_acc = _baseline_accuracy(baseline_model, target, seed, _cache)
     transfer_acc = evaluate(tuned, target.test)
     variation = (
         accuracy_variation(baseline_acc, transfer_acc) if baseline_acc > 0 else None

@@ -131,6 +131,11 @@ def load_model(path) -> FcnModel:
     version = header.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise UnknownModelVersionError(f"{path}: unknown format version {version!r}")
+    dtype = header.get("dtype")
+    if dtype != _PAYLOAD_DTYPE:
+        raise ModelFileError(
+            f"{path}: payload dtype {dtype!r} is not {_PAYLOAD_DTYPE!r}"
+        )
     filters = tuple(header.get("filters", ()))
     kernels = tuple(header.get("kernels", ()))
     class_count = header.get("class_count")

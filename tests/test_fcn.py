@@ -18,8 +18,15 @@ from tstransfer import (
     train,
 )
 from tstransfer.fcn import (
+    _EVAL_CHUNK,
     BN_EPSILON,
+    KERNEL_SIZES,
+    _fold_batchnorm,
+    _forward_impl,
+    _stack_batch,
+    batchnorm_forward_eval,
     batchnorm_forward_train,
+    conv1d_backward,
     conv1d_forward,
     glorot_uniform_bound,
 )
@@ -150,49 +157,183 @@ class TestLayerPrimitives:
     def test_zero_padding_edge_attenuation_by_hand(self):
         # constant-1 input, averaging kernel of length 3, T = 4:
         # padded input 0,1,1,1,1,0 -> output 2/3, 1, 1, 2/3
-        x = np.ones((1, 1, 4))
+        x = np.ones((1, 4, 1))
         w = np.full((1, 1, 3), 1.0 / 3.0)
         out, _ = conv1d_forward(x, w, np.zeros(1))
         third = 1.0 / 3.0
-        assert np.array_equal(out[0, 0], np.array([2 * third, 1.0, 1.0, 2 * third]))
+        assert np.array_equal(out[0, :, 0], np.array([2 * third, 1.0, 1.0, 2 * third]))
 
     def test_even_kernel_pads_left_heavy(self):
         # kernel 8 on T=8 ones: window at t covers x[t-4 .. t+3]
-        x = np.ones((1, 1, 8))
+        x = np.ones((1, 8, 1))
         w = np.ones((1, 1, 8))
         out, _ = conv1d_forward(x, w, np.zeros(1))
-        assert np.array_equal(out[0, 0], np.array([4, 5, 6, 7, 8, 7, 6, 5], float))
+        assert np.array_equal(out[0, :, 0], np.array([4, 5, 6, 7, 8, 7, 6, 5], float))
 
     def test_gap_is_time_mean(self):
         # pooling a channel holding [1, 2, 3, 4] must yield exactly 2.5
-        x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        assert x.mean(axis=2)[0, 0] == 2.5
+        x = np.array([[[1.0], [2.0], [3.0], [4.0]]])
+        assert x.mean(axis=1)[0, 0] == 2.5
+        # the network pools its last block's activations over time
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 3, 7))
-        assert np.allclose(x.mean(axis=2), x.sum(axis=2) / 7)
+        m = build_model(2, seed=6, filters=TINY)
+        x = _stack_batch([rng.standard_normal(7) for _ in range(2)])
+        _, (caches, gap, length) = _forward_impl(m, x, training=True)
+        _, _, xhat, _, mask = caches[2]
+        act = (xhat * m.bn_gamma[2] + m.bn_beta[2]) * mask
+        assert length == 7
+        assert np.allclose(gap, act.sum(axis=1) / 7, rtol=1e-14, atol=0)
 
     def test_batchnorm_train_statistics(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((4, 6, 16)) * 3 + 1.5
+        x = rng.standard_normal((4, 16, 6)) * 3 + 1.5
         y, xhat, inv_std, mu, var = batchnorm_forward_train(
             x, np.ones(6), np.zeros(6)
         )
-        assert np.abs(xhat.mean(axis=(0, 2))).max() < 1e-5
+        assert np.abs(xhat.mean(axis=(0, 1))).max() < 1e-5
         # normalized variance is damped by var/(var+eps), not exactly 1
         expected = var / (var + BN_EPSILON)
-        assert np.abs(xhat.var(axis=(0, 2)) - expected).max() < 1e-10
-        assert np.abs(xhat.var(axis=(0, 2)) - 1.0).max() < 1e-3
+        assert np.abs(xhat.var(axis=(0, 1)) - expected).max() < 1e-10
+        assert np.abs(xhat.var(axis=(0, 1)) - 1.0).max() < 1e-3
+        assert np.allclose(mu, x.mean(axis=(0, 1)), rtol=1e-14, atol=0)
+        assert np.allclose(var, x.var(axis=(0, 1)), rtol=1e-12, atol=0)
 
     def test_eval_batchnorm_identity_at_unit_stats(self):
         rng = np.random.default_rng(8)
         m = build_model(2, seed=9, filters=TINY)
-        from tstransfer.fcn import batchnorm_forward_eval
-
-        x = rng.standard_normal((2, 4, 10))
+        x = rng.standard_normal((2, 10, 4))
         y = batchnorm_forward_eval(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
         # identity up to the 1/sqrt(1 + eps) factor
         assert np.abs(y - x).max() <= BN_EPSILON * np.abs(x).max()
         assert np.array_equal(y, x * (1.0 / np.sqrt(1.0 + BN_EPSILON)))
+        # a fresh model has unit statistics, so folding only applies that factor
+        factor = 1.0 / np.sqrt(1.0 + BN_EPSILON)
+        for i in range(3):
+            w, b = _fold_batchnorm(m, i)
+            assert np.array_equal(w, m.conv_w[i] * factor)
+            bound = BN_EPSILON * np.abs(m.conv_w[i]).max()
+            assert np.abs(w - m.conv_w[i]).max() <= bound
+            assert np.array_equal(b, np.zeros_like(b))
+
+
+def reference_windows(x, kernel):
+    """(B, T, Cin, K) explicit windows of the length-preserving padded input."""
+    left, right = kernel // 2, (kernel - 1) // 2
+    padded = np.pad(x, ((0, 0), (left, right), (0, 0)))
+    return np.stack([padded[:, k : k + x.shape[1]] for k in range(kernel)], axis=-1)
+
+
+def reference_conv(x, w, b):
+    return np.einsum("btik,oik->bto", reference_windows(x, w.shape[2]), w) + b
+
+
+def reference_conv_grads(x, w, g):
+    """Gradients of sum(conv(x) * g) w.r.t. x, w and b, window by window."""
+    kernel = w.shape[2]
+    left = kernel // 2
+    length = x.shape[1]
+    dw = np.einsum("btik,bto->oik", reference_windows(x, kernel), g)
+    dpadded = np.zeros((x.shape[0], length + kernel - 1, x.shape[2]))
+    for k in range(kernel):
+        dpadded[:, k : k + length] += np.einsum("bto,oi->bti", g, w[:, :, k])
+    return dpadded[:, left : left + length], dw, g.sum(axis=(0, 1))
+
+
+def max_rel(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+class TestConvAgainstReference:
+    SHAPES = [  # (kernel, batch, length, in_ch, out_ch)
+        (8, 3, 20, 1, 5),
+        (8, 4, 3, 2, 3),
+        (5, 3, 17, 4, 6),
+        (5, 5, 1, 3, 2),
+        (3, 3, 9, 6, 4),
+        (3, 4, 2, 5, 7),
+    ]
+
+    @pytest.mark.parametrize("kernel,batch,length,in_ch,out_ch", SHAPES)
+    def test_forward_and_gradients_match_einsum(self, kernel, batch, length, in_ch,
+                                                out_ch):
+        rng = np.random.default_rng(kernel * 100 + length)
+        x = rng.standard_normal((batch, length, in_ch))
+        w = rng.standard_normal((out_ch, in_ch, kernel))
+        b = rng.standard_normal(out_ch)
+        g = rng.standard_normal((batch, length, out_ch))
+        out, cols = conv1d_forward(x, w, b)
+        assert out.shape == (batch, length, out_ch)
+        assert max_rel(out, reference_conv(x, w, b)) <= 1e-12
+        dx, dw, db = conv1d_backward(g, cols, w, x.shape)
+        dx_ref, dw_ref, db_ref = reference_conv_grads(x, w, g)
+        assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+        assert max_rel(dx, dx_ref) <= 1e-12
+        assert max_rel(dw, dw_ref) <= 1e-12
+        assert max_rel(db, db_ref) <= 1e-12
+        no_dx, dw2, db2 = conv1d_backward(g, cols, w, x.shape, input_grad=False)
+        assert no_dx is None
+        assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
+
+    @pytest.mark.parametrize("kernel", KERNEL_SIZES)
+    def test_no_series_leaks_into_its_neighbour(self, kernel):
+        rng = np.random.default_rng(kernel)
+        batch, length, in_ch, out_ch = 4, 6, 3, 5
+        x = rng.standard_normal((batch, length, in_ch))
+        w = rng.standard_normal((out_ch, in_ch, kernel))
+        b = rng.standard_normal(out_ch)
+        g = rng.standard_normal((batch, length, out_ch))
+        out, cols = conv1d_forward(x, w, b)
+        dx, _, _ = conv1d_backward(g, cols, w, x.shape)
+        for changed in range(batch):
+            x2, g2 = x.copy(), g.copy()
+            x2[changed] += 100.0
+            g2[changed] -= 100.0
+            out2, cols2 = conv1d_forward(x2, w, b)
+            dx2, _, _ = conv1d_backward(g2, cols2, w, x.shape)
+            for kept in range(batch):
+                if kept == changed:
+                    continue
+                assert np.array_equal(out2[kept], out[kept])
+                assert np.array_equal(dx2[kept], dx[kept])
+
+
+def reference_eval_logits(m, x):
+    """Unfolded eval forward: conv, running-stat batch-norm, ReLU, pooling."""
+    out = x
+    for i in range(3):
+        y = reference_conv(out, m.conv_w[i], m.conv_b[i])
+        y = (y - m.bn_mean[i]) / np.sqrt(m.bn_var[i] + BN_EPSILON)
+        out = np.maximum(y * m.bn_gamma[i] + m.bn_beta[i], 0.0)
+    return out.mean(axis=1) @ m.head_w + m.head_b
+
+
+class TestEvalPath:
+    def test_folded_forward_matches_unfolded(self):
+        rng = np.random.default_rng(50)
+        m = build_model(3, seed=51, filters=TINY)
+        for i in range(3):
+            c = m.bn_mean[i].shape[0]
+            m.bn_mean[i] = rng.standard_normal(c)
+            m.bn_var[i] = rng.uniform(0.2, 3.0, c)
+            m.bn_gamma[i] = rng.uniform(0.5, 1.5, c)
+            m.bn_beta[i] = 0.3 * rng.standard_normal(c)
+            m.conv_b[i] = 0.1 * rng.standard_normal(c)
+        x = _stack_batch([rng.standard_normal(15) for _ in range(5)])
+        before = model_bytes(m)
+        logits, caches = _forward_impl(m, x, training=False)
+        assert caches is None
+        assert model_bytes(m) == before
+        assert max_rel(logits, reference_eval_logits(m, x)) <= 1e-12
+
+    def test_chunked_evaluate_matches_single_series(self):
+        rng = np.random.default_rng(52)
+        m = build_model(3, seed=53, filters=TINY)
+        series = [rng.standard_normal(11) for _ in range(2 * _EVAL_CHUNK + 1)]
+        alone = [int(forward(m, [s]).argmax()) for s in series]
+        assert len(set(alone)) > 1
+        assert evaluate(m, list(zip(series, alone))) == 1.0
+        shifted = [(p + 1) % 3 for p in alone]
+        assert evaluate(m, list(zip(series, shifted))) == 0.0
 
 
 class TestLossAndGradients:

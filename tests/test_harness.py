@@ -128,6 +128,24 @@ class TestRunPair:
 
 
 class TestRunMatrix:
+    def test_baseline_evaluated_once_per_target_and_seed(self, monkeypatch):
+        datasets = tiny_datasets(3)
+        calls = []
+
+        def counting(model, split):
+            calls.append(model)
+            return evaluate(model, split)
+
+        monkeypatch.setattr(harness, "evaluate", counting)
+        matrix = run_matrix(datasets, FAST, seeds=[0, 1])
+        # 6 cells x 2 seeds transfer evaluations plus 3 targets x 2 seeds baselines
+        assert len(calls) == 12 + 6
+        monkeypatch.setattr(harness, "evaluate", evaluate)
+        for (s, t), cell in matrix.cells.items():
+            source, target = datasets["ABC".index(s)], datasets["ABC".index(t)]
+            fresh = [run_pair(source, target, FAST, seed).to_dict() for seed in (0, 1)]
+            assert cell["results"] == fresh
+
     def test_cell_counts(self, tmp_path):
         datasets = tiny_datasets(2)
         matrix = run_matrix(datasets, FAST, seeds=[0], out_dir=tmp_path / "r2")

@@ -37,6 +37,19 @@ def nudge_stats(model, seed):
     return model
 
 
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header of a model file in place."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    new_header = json.dumps(header).encode()
+    path.write_bytes(
+        blob[:8] + len(new_header).to_bytes(8, "little") + new_header
+        + blob[16 + header_len :]
+    )
+
+
 class TestSaveLoad:
     def test_round_trip_is_float32_quantization(self, tmp_path):
         m = nudge_stats(build_model(3, seed=1), 2)
@@ -87,17 +100,7 @@ class TestSaveLoad:
         m = build_model(2, seed=7, filters=TINY)
         path = tmp_path / "m.fcn"
         save_model(m, path)
-        blob = bytearray(path.read_bytes())
-        header_len = int.from_bytes(blob[8:16], "little")
-        header = json.loads(bytes(blob[16 : 16 + header_len]))
-        header["format_version"] = 99
-        new_header = json.dumps(header).encode()
-        path.write_bytes(
-            bytes(blob[:8])
-            + len(new_header).to_bytes(8, "little")
-            + new_header
-            + bytes(blob[16 + header_len :])
-        )
+        rewrite_header(path, lambda header: header.update(format_version=99))
         with pytest.raises(UnknownModelVersionError):
             load_model(path)
 
@@ -105,18 +108,20 @@ class TestSaveLoad:
         m = build_model(2, seed=8, filters=TINY)
         path = tmp_path / "m.fcn"
         save_model(m, path)
-        blob = bytearray(path.read_bytes())
-        header_len = int.from_bytes(blob[8:16], "little")
-        header = json.loads(bytes(blob[16 : 16 + header_len]))
-        header["tensors"][0]["shape"] = [4, 1, 7]  # kernel 7 instead of 8
-        new_header = json.dumps(header).encode()
-        path.write_bytes(
-            bytes(blob[:8])
-            + len(new_header).to_bytes(8, "little")
-            + new_header
-            + bytes(blob[16 + header_len :])
-        )
+        def kernel_7_instead_of_8(header):
+            header["tensors"][0]["shape"] = [4, 1, 7]
+
+        rewrite_header(path, kernel_7_instead_of_8)
         with pytest.raises(ModelShapeError):
+            load_model(path)
+
+    @pytest.mark.parametrize("dtype", ["<f8", "bogus"])
+    def test_declared_dtype_must_be_float32(self, tmp_path, dtype):
+        m = build_model(2, seed=9, filters=TINY)
+        path = tmp_path / "m.fcn"
+        save_model(m, path)
+        rewrite_header(path, lambda header: header.update(dtype=dtype))
+        with pytest.raises(ModelFileError, match="dtype"):
             load_model(path)
 
     def test_missing_file(self, tmp_path):
