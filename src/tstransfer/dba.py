@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtw import dtw_path, medoid
+from .dtw import dtw_paths, medoid
 
 __all__ = ["DbaConfig", "dba_iteration", "dba_average"]
 
@@ -34,27 +34,25 @@ def dba_iteration(prototype, members) -> np.ndarray:
     Path continuity guarantees every prototype coordinate receives at least
     one sample. The mean is accumulated relative to the first sample aligned
     to each coordinate, so averaging identical samples reproduces them
-    exactly and the step is deterministic (fixed tie-breaking in dtw_path,
-    members visited in input order).
+    exactly and the step is deterministic (fixed tie-breaking in dtw_paths,
+    samples summed in member order, then path order).
     """
     proto = np.asarray(prototype, dtype=np.float64)
-    members = list(members)
+    members = [np.asarray(m, dtype=np.float64).ravel() for m in members]
     if not members:
         raise ValueError("dba_iteration: empty member set")
-    length = len(proto)
-    pivots = np.zeros(length)
-    delta_sums = np.zeros(length)
-    counts = np.zeros(length, dtype=np.int64)
-    for member in members:
-        mem = np.asarray(member, dtype=np.float64)
-        _, path = dtw_path(proto, mem)
-        for i, j in path:
-            ii = i - 1
-            v = mem[j - 1]
-            if counts[ii] == 0:
-                pivots[ii] = v
-            delta_sums[ii] += v - pivots[ii]
-            counts[ii] += 1
+    coords, samples = [], []
+    for member, (_, path) in zip(members, dtw_paths(proto, members)):
+        ij = np.array(path) - 1
+        coords.append(ij[:, 0])
+        samples.append(member[ij[:, 1]])
+    coords = np.concatenate(coords)
+    samples = np.concatenate(samples)
+    # Every coordinate occurs, so the unique coordinates are 0..len(proto)-1.
+    pivots = samples[np.unique(coords, return_index=True)[1]]
+    # bincount adds its weights in input order, like the sequential sum.
+    delta_sums = np.bincount(coords, samples - pivots[coords])
+    counts = np.bincount(coords)
     return pivots + delta_sums / counts
 
 

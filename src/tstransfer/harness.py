@@ -16,8 +16,9 @@ import hashlib
 import json
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -97,30 +98,46 @@ class PairResult:
         }
 
 
+class _RunCache:
+    """Results shared by the cells of one run, each computed once per key.
+
+    Cells may run on several threads; a lock per key, created under a
+    run-wide lock, makes a second caller wait for the first instead of
+    repeating its work.
+    """
+
+    def __init__(self):
+        self._values: dict = {}
+        self._locks: dict = {}
+        self._guard = threading.Lock()
+
+    def get(self, key, compute):
+        with self._guard:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self._values:
+                self._values[key] = compute()
+            return self._values[key]
+
+
 def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int, cache):
     """Train a model from scratch on a dataset; memoized per (name, seed)."""
-    key = ("scratch", dataset.name, seed)
-    if cache is not None and key in cache:
-        return cache[key]
-    init_seed = derive_seed(seed, dataset.name, "init")
-    train_seed = derive_seed(seed, dataset.name, "train")
-    model = build_model(dataset.class_count, seed=init_seed)
-    trained, history = train(model, dataset.train, replace(config, seed=train_seed))
-    result = (trained, history, {"init": init_seed, "train": train_seed})
-    if cache is not None:
-        cache[key] = result
-    return result
+
+    def compute():
+        init_seed = derive_seed(seed, dataset.name, "init")
+        train_seed = derive_seed(seed, dataset.name, "train")
+        model = build_model(dataset.class_count, seed=init_seed)
+        trained, history = train(model, dataset.train, replace(config, seed=train_seed))
+        return trained, history, {"init": init_seed, "train": train_seed}
+
+    return cache.get(("scratch", dataset.name, seed), compute)
 
 
 def _baseline_accuracy(model, target: Dataset, seed: int, cache) -> float:
     """Test accuracy of the scratch baseline; memoized per (target, seed)."""
-    key = ("baseline_accuracy", target.name, seed)
-    if cache is not None and key in cache:
-        return cache[key]
-    accuracy = evaluate(model, target.test)
-    if cache is not None:
-        cache[key] = accuracy
-    return accuracy
+    return cache.get(
+        ("baseline_accuracy", target.name, seed), lambda: evaluate(model, target.test)
+    )
 
 
 def run_pair(
@@ -135,16 +152,17 @@ def run_pair(
     """
     if source.name == target.name:
         raise ValueError(f"source and target must differ, got {source.name!r}")
+    cache = _RunCache() if _cache is None else _cache
     baseline_model, baseline_hist, baseline_seeds = _scratch_run(
-        target, config, seed, _cache
+        target, config, seed, cache
     )
-    pretrained, _, source_seeds = _scratch_run(source, config, seed, _cache)
+    pretrained, _, source_seeds = _scratch_run(source, config, seed, cache)
     head_seed = derive_seed(seed, source.name, target.name, "head")
     finetune_seed = derive_seed(seed, source.name, target.name, "finetune")
     tuned, tuned_hist = fine_tune(
         pretrained, target, replace(config, seed=finetune_seed), head_seed
     )
-    baseline_acc = _baseline_accuracy(baseline_model, target, seed, _cache)
+    baseline_acc = _baseline_accuracy(baseline_model, target, seed, cache)
     transfer_acc = evaluate(tuned, target.test)
     variation = (
         accuracy_variation(baseline_acc, transfer_acc) if baseline_acc > 0 else None
@@ -194,7 +212,9 @@ class VariationMatrix:
         return columns
 
 
-def _cell_record(source: Dataset, target: Dataset, config, seeds, cache) -> dict:
+def _cell_record(
+    source: Dataset, target: Dataset, config, seeds, cache, provenance: dict
+) -> dict:
     results = [run_pair(source, target, config, s, _cache=cache) for s in seeds]
     baseline = sum(r.baseline_accuracy for r in results) / len(results)
     transfer = sum(r.transfer_accuracy for r in results) / len(results)
@@ -207,7 +227,20 @@ def _cell_record(source: Dataset, target: Dataset, config, seeds, cache) -> dict
         "transfer_accuracy": transfer,
         "variation_percent": variation,
         "results": [r.to_dict() for r in results],
+        **provenance,
     }
+
+
+def _dataset_digest(dataset: Dataset) -> str:
+    """SHA-256 of a dataset's contents: class count, labels and samples."""
+    h = hashlib.sha256(int(dataset.class_count).to_bytes(8, "little"))
+    for split in (dataset.train, dataset.test):
+        h.update(len(split).to_bytes(8, "little"))
+        for item in split:
+            h.update(item.label.to_bytes(8, "little"))
+            h.update(len(item.series).to_bytes(8, "little"))
+            h.update(item.series.astype("<f8").tobytes())
+    return h.hexdigest()
 
 
 def _slug(name: str) -> str:
@@ -230,8 +263,11 @@ def run_matrix(
     """Run every off-diagonal (source, target) cell, with resume and isolation.
 
     When out_dir is given, each completed cell is written atomically to
-    `cells/<source>__<target>.json` and cells whose file already exists are
-    loaded instead of retrained, so an interrupted run resumes for free. A
+    `cells/<source>__<target>.json`, so an interrupted run resumes for free.
+    Every record carries what its results depend on: the seeds, the
+    TrainConfig fields and SHA-256 digests of the source and target
+    contents. An existing cell file is reused only when all of them match
+    this run; otherwise the cell is recomputed and its file overwritten. A
     failing cell is recorded (and marked on disk) without stopping the run.
     Scratch baselines and pretrained source models are shared across cells
     of one run; training is deterministic, so the results are identical to
@@ -248,9 +284,17 @@ def run_matrix(
     if not seeds:
         raise ValueError("run_matrix: need at least one seed")
     by_name = {d.name: d for d in datasets}
+    digests = {d.name: _dataset_digest(d) for d in datasets}
     matrix = VariationMatrix(names=tuple(names))
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
+
+    def provenance(s, t):
+        return {
+            "config": asdict(config),
+            "source_digest": digests[s],
+            "target_digest": digests[t],
+        }
 
     pairs = [(s, t) for s in names for t in names if s != t]
     pending = []
@@ -259,16 +303,21 @@ def run_matrix(
             path = _cell_path(out_dir, s, t)
             if os.path.isfile(path):
                 with open(path, "r", encoding="utf-8") as fh:
-                    matrix.cells[(s, t)] = json.load(fh)
-                continue
+                    record = json.load(fh)
+                expected = {"seeds": seeds, **provenance(s, t)}
+                if all(record.get(k) == v for k, v in expected.items()):
+                    matrix.cells[(s, t)] = record
+                    continue
         pending.append((s, t))
 
-    cache: dict = {}
+    cache = _RunCache()
 
     def compute(pair):
         s, t = pair
         try:
-            record = _cell_record(by_name[s], by_name[t], config, seeds, cache)
+            record = _cell_record(
+                by_name[s], by_name[t], config, seeds, cache, provenance(s, t)
+            )
             return pair, record, None
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             return pair, None, f"{type(exc).__name__}: {exc}"

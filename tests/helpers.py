@@ -1,13 +1,15 @@
 """Shared test fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own algorithms: the
-warping-distance oracle enumerates every monotone alignment, and gradients
-are checked against central finite differences of the loss.
+warping-distance oracle enumerates every monotone alignment, the path and
+barycenter oracles are plain scalar loops over the full table, and
+gradients are checked against central finite differences of the loss.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tstransfer import Dataset, LabeledSeries, z_normalize
 from tstransfer.fcn import clone_model
@@ -43,6 +45,115 @@ def dtw_brute_force(a, b) -> float:
             d = x[i] - y[j + 1]
             stack.append((i, j + 1, acc + d * d))
     return best
+
+
+def dtw_path_reference(a, b) -> tuple[float, list[tuple[int, int]]]:
+    """Scalar full-table dynamic program plus backtrack, one cell at a time.
+
+    The plain loop the library's wavefront kernel must reproduce bit for
+    bit: cost first, then the path with ties broken diagonal, then the step
+    decreasing i, then the step decreasing j; forced moves on row 0 and
+    column 0.
+    """
+    x = [float(v) for v in np.asarray(a, dtype=np.float64).ravel()]
+    y = [float(v) for v in np.asarray(b, dtype=np.float64).ravel()]
+    n, m = len(x), len(y)
+
+    table = [[0.0] * m for _ in range(n)]
+    r0 = table[0]
+    d = x[0] - y[0]
+    r0[0] = d * d
+    for j in range(1, m):
+        d = x[0] - y[j]
+        r0[j] = r0[j - 1] + d * d
+    for i in range(1, n):
+        ri = table[i]
+        rp = table[i - 1]
+        d = x[i] - y[0]
+        ri[0] = rp[0] + d * d
+        for j in range(1, m):
+            best = rp[j - 1]
+            if rp[j] < best:
+                best = rp[j]
+            if ri[j - 1] < best:
+                best = ri[j - 1]
+            d = x[i] - y[j]
+            ri[j] = d * d + best
+
+    i, j = n - 1, m - 1
+    path = [(n, m)]
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag = table[i - 1][j - 1]
+            up = table[i - 1][j]
+            left = table[i][j - 1]
+            best = min(diag, up, left)
+            if diag == best:
+                i -= 1
+                j -= 1
+            elif up == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i + 1, j + 1))
+    path.reverse()
+    return table[n - 1][m - 1], path
+
+
+def dba_iteration_reference(prototype, members) -> np.ndarray:
+    """One DBA step as a sequential loop over members, then path cells.
+
+    Each coordinate's mean is accumulated relative to the first sample
+    aligned to it; paths come from `dtw_path_reference`.
+    """
+    proto = np.asarray(prototype, dtype=np.float64)
+    length = len(proto)
+    pivots = np.zeros(length)
+    delta_sums = np.zeros(length)
+    counts = np.zeros(length, dtype=np.int64)
+    for member in members:
+        mem = np.asarray(member, dtype=np.float64)
+        _, path = dtw_path_reference(proto, mem)
+        for i, j in path:
+            ii = i - 1
+            v = mem[j - 1]
+            if counts[ii] == 0:
+                pivots[ii] = v
+            delta_sums[ii] += v - pivots[ii]
+            counts[ii] += 1
+    return pivots + delta_sums / counts
+
+
+# Float samples, and small integers whose sums tie often and so exercise the
+# backtrack's tie-break.
+SAMPLES = (
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    st.integers(-2, 2).map(float),
+)
+
+
+def series_pairs(max_len: int):
+    """Two series of 1..max_len samples of one kind."""
+    return st.sampled_from(SAMPLES).flatmap(
+        lambda el: st.tuples(
+            st.lists(el, min_size=1, max_size=max_len),
+            st.lists(el, min_size=1, max_size=max_len),
+        )
+    )
+
+
+@st.composite
+def reference_and_members(draw, max_len: int = 40):
+    """A reference plus 1-6 members drawn from two lengths, so batches form."""
+    el = draw(st.sampled_from(SAMPLES))
+    reference = draw(st.lists(el, min_size=1, max_size=max_len))
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=2, max_size=2))
+    picks = draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=6))
+    return reference, [draw(st.lists(el, min_size=k, max_size=k)) for k in picks]
 
 
 def is_valid_warping_path(path, len_a: int, len_b: int) -> bool:

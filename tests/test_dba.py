@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from helpers import dba_iteration_reference, reference_and_members
 from tstransfer import DbaConfig, dba_average, dba_iteration, dtw_distance, medoid
 
 
@@ -34,6 +36,13 @@ class TestDbaIteration:
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
             dba_iteration(np.array([1.0]), [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(reference_and_members())
+    def test_bit_equal_to_sequential_reference(self, case):
+        prototype, members = case
+        out = dba_iteration(prototype, members)
+        assert out.tobytes() == dba_iteration_reference(prototype, members).tobytes()
 
     def test_length_preserved(self):
         rng = np.random.default_rng(2)

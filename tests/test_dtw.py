@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import dtw_brute_force, is_valid_warping_path
-from tstransfer import dtw_distance, dtw_path, medoid, pairwise_dtw_matrix
+import tstransfer.dtw as dtw
+from helpers import (
+    dtw_brute_force,
+    dtw_path_reference,
+    is_valid_warping_path,
+    reference_and_members,
+    series_pairs,
+)
+from tstransfer import dtw_distance, dtw_path, dtw_paths, medoid, pairwise_dtw_matrix
+
+PROPERTY = settings(max_examples=150, deadline=None)
 
 
 class TestDtwDistance:
@@ -100,14 +110,13 @@ class TestMedoid:
         with pytest.raises(ValueError):
             medoid([])
 
-    def test_workers_do_not_change_result(self):
+    def test_pairwise_matrix_equals_per_pair_distances(self):
         rng = np.random.default_rng(17)
         members = [rng.uniform(-2, 2, rng.integers(2, 10)) for _ in range(7)]
-        assert np.array_equal(
-            pairwise_dtw_matrix(members, workers=1),
-            pairwise_dtw_matrix(members, workers=3),
-        )
-        assert medoid(members, workers=1) == medoid(members, workers=3)
+        mat = pairwise_dtw_matrix(members)
+        for i, a in enumerate(members):
+            for j, b in enumerate(members):
+                assert mat[i, j] == (0.0 if i == j else dtw_distance(a, b))
 
     def test_pairwise_matrix_structure(self):
         rng = np.random.default_rng(19)
@@ -115,3 +124,74 @@ class TestMedoid:
         mat = pairwise_dtw_matrix(members)
         assert np.array_equal(mat, mat.T)
         assert np.array_equal(np.diag(mat), np.zeros(5))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize(
+        "align",
+        [dtw_distance, dtw_path, lambda a, b: dtw_paths(a, [np.zeros(2), b])],
+        ids=["dtw_distance", "dtw_path", "dtw_paths"],
+    )
+    def test_rejected(self, align, position, bad):
+        args = [np.array([0.5, 1.0, -0.5]), np.array([0.0, 2.0])]
+        args[position] = args[position].copy()
+        args[position][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            align(*args)
+
+
+class TestAgainstScalarReference:
+    @PROPERTY
+    @given(series_pairs(40))
+    def test_path_and_cost_bit_equal(self, pair):
+        a, b = pair
+        assert dtw_path(a, b) == dtw_path_reference(a, b)
+
+    @PROPERTY
+    @given(series_pairs(40))
+    def test_distance_bit_equal(self, pair):
+        a, b = pair
+        assert dtw_distance(a, b) == dtw_path_reference(a, b)[0]
+
+    @PROPERTY
+    @given(series_pairs(6))
+    def test_distance_equals_brute_force(self, pair):
+        a, b = pair
+        assert dtw_distance(a, b) == dtw_brute_force(a, b)
+
+    @PROPERTY
+    @given(reference_and_members())
+    def test_batched_paths_equal_per_pair_reference(self, case):
+        reference, members = case
+        expected = [dtw_path_reference(reference, m) for m in members]
+        assert dtw_paths(reference, members) == expected
+
+
+class TestDtwPaths:
+    def test_empty_member_list(self):
+        assert dtw_paths([1.0, 2.0], []) == []
+
+    def test_chunked_batches_give_same_result(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        reference = rng.integers(-2, 3, 10).astype(float)
+        members = [
+            rng.integers(-2, 3, length).astype(float)
+            for length in (8, 12, 8, 8, 12, 8, 8)
+        ]
+        expected = dtw_paths(reference, members)
+        assert expected == [dtw_path_reference(reference, m) for m in members]
+
+        batches = []
+        kernel = dtw._wavefront
+
+        def counting(x, y_rev, table):
+            batches.append(table.shape[2])
+            kernel(x, y_rev, table)
+
+        monkeypatch.setattr(dtw, "_wavefront", counting)
+        # Room for two length-8 tables, and one length-12 table.
+        monkeypatch.setattr(dtw, "_PATH_TABLE_BYTES", 2 * (10 + 8 - 1) * 11 * 8)
+        assert dtw_paths(reference, members) == expected
+        assert sorted(batches) == [1, 1, 1, 2, 2]

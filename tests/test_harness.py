@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -198,6 +200,53 @@ class TestRunMatrix:
         m1 = run_matrix(datasets, FAST, seeds=[0], out_dir=None, workers=1)
         m2 = run_matrix(datasets, FAST, seeds=[0], out_dir=None, workers=3)
         assert m1.cells == m2.cells
+
+    def test_workers_train_each_scratch_model_once(self, monkeypatch):
+        datasets = tiny_datasets(3)
+        serial = run_matrix(datasets, FAST, seeds=[0], workers=1)
+        trainings, evaluations = [], []
+        real_train = harness.train
+
+        def counting_train(model, split, config):
+            trainings.append(config.seed)
+            return real_train(model, split, config)
+
+        def counting_evaluate(model, split):
+            evaluations.append(model)
+            return evaluate(model, split)
+
+        monkeypatch.setattr(harness, "train", counting_train)
+        monkeypatch.setattr(harness, "evaluate", counting_evaluate)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            parallel = run_matrix(datasets, FAST, seeds=[0], workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        # one scratch model per dataset; 6 transfer plus 3 baseline evaluations
+        assert len(trainings) == 3
+        assert len(evaluations) == 6 + 3
+        assert parallel.cells == serial.cells
+
+    def test_resume_recomputes_cells_of_another_run(self, tmp_path):
+        datasets = tiny_datasets(2)
+        out = tmp_path / "res"
+        first = TrainConfig(epochs=1, batch_size=8, seed=0)
+        run_matrix(datasets, first, seeds=[0], out_dir=out)
+        second = TrainConfig(epochs=3, batch_size=8, seed=0)
+        rerun = run_matrix(datasets, second, seeds=[5], out_dir=out)
+        fresh = run_matrix(datasets, second, seeds=[5])
+        assert rerun.cells == fresh.cells
+        for cell in rerun.cells.values():
+            assert cell["seeds"] == [5]
+            assert cell["config"] == asdict(second)
+        assert load_matrix_results(out).cells == fresh.cells
+
+        # same names and config, different contents
+        changed = tiny_datasets(2, seed=70)
+        rerun = run_matrix(changed, second, seeds=[5], out_dir=out)
+        assert rerun.cells == run_matrix(changed, second, seeds=[5]).cells
+        assert rerun.cells != fresh.cells
 
     def test_load_matrix_results_round_trip(self, tmp_path):
         datasets = tiny_datasets(2)
