@@ -10,13 +10,18 @@ length.
 
 Activations are channels-last, (B, T, C), from the stacked batch to the
 pooling. Each convolution lays its input out as B zero-padded segments of
-T+K-1 rows stacked in one buffer, so its im2col matrix is one strided view
-and one copy, and the whole batch is one GEMM; the K-1 output rows between
-two segments straddle two series and are dropped. The backward pass uses the
-same layout for the weight gradient and computes the input gradient as a
-transposed convolution, also one GEMM. Evaluation folds each block's
-running-stat batch-norm into the convolution's weights and bias.
-Weights keep the (Cout, Cin, K) layout in memory and on disk.
+T+K-1 rows stacked in one buffer, and one kernel, `_correlate`, computes
+sum_k padded[q+k] @ wk[k] for every row q of the whole batch; the K-1 output
+rows between two segments straddle two series and are dropped. The kernel
+makes its K-fold copy on the narrower side: an im2col matrix of the input
+(K*Cin columns) when Cin <= Cout, otherwise one GEMM into K*Cout columns
+whose K column blocks are added with a shift of k rows. The backward pass
+keeps only the padded input: the weight gradient is K GEMMs over its
+shifted views, and the input gradient is a transposed convolution, the same
+kernel applied to the padded output gradient and the flipped weights.
+Evaluation folds each block's running-stat batch-norm into the
+convolution's weights and bias. Weights keep the (Cout, Cin, K) layout in
+memory and on disk.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ DEFAULT_FILTERS = (128, 256, 128)
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
-_EVAL_CHUNK = 16  # im2col of one chunk: about 13 MB at T=128
+_EVAL_CHUNK = 16  # largest conv buffer of one chunk: about 11 MB at T=128
 
 
 @dataclass
@@ -242,6 +247,29 @@ def _im2col(flat: np.ndarray, kernel: int) -> np.ndarray:
     return sliding_window_view(flat.reshape(-1), kernel * channels)[::channels].copy()
 
 
+def _correlate(padded: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """(R, Co) array whose row q < R-K+1 is sum_k padded[q+k] @ wk[k].
+
+    padded is a C-contiguous (R, Ci) array and wk is (K, Ci, Co); the last
+    K-1 rows are left unset. The K-fold copy is made on the narrower side.
+    When Ci <= Co, one GEMM multiplies the (R-K+1, K*Ci) im2col matrix.
+    When Ci > Co, one GEMM fills K*Co columns, then the K column blocks are
+    added, block k shifted up by k rows.
+    """
+    kernel, in_ch, out_ch = wk.shape
+    rows = padded.shape[0] - kernel + 1
+    out = np.empty((padded.shape[0], out_ch))
+    if in_ch <= out_ch:
+        wmat = wk.reshape(kernel * in_ch, out_ch)
+        np.matmul(_im2col(padded, kernel), wmat, out=out[:rows])
+        return out
+    y = padded @ wk.transpose(1, 0, 2).reshape(in_ch, kernel * out_ch)
+    out[:rows] = y[:rows, :out_ch]
+    for k in range(1, kernel):
+        out[:rows] += y[k : k + rows, k * out_ch : (k + 1) * out_ch]
+    return out
+
+
 def _unsegment(rows: np.ndarray, batch: int, length: int, kernel: int) -> np.ndarray:
     """(B, T, C) view of per-segment rows, dropping the K-1 straddling rows."""
     return rows.reshape(batch, length + kernel - 1, -1)[:, :length]
@@ -253,30 +281,25 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     x: (B, T, Cin) channels-last, w: (Cout, Cin, K). A single-channel
     batch may also come as (B, 1, T), which has the same memory layout. The
     input is laid out as B zero-padded segments of T+K-1 rows each, stacked
-    into one buffer, so im2col row q is the contiguous run of K rows
-    starting at q and the whole batch is one GEMM. The K-1 rows after each
-    segment's T outputs straddle two series; they are computed and dropped.
-    Returns (out (B, T, Cout), cols) where cols is the
-    (B*(T+K-1)-(K-1), K*Cin) im2col matrix, with columns ordered (k, cin),
-    reused by the backward pass.
+    into one buffer, so output row q is sum_k padded[q+k] @ w[:, :, k].T
+    and the whole batch goes through `_correlate` at once. The K-1 rows
+    after each segment's T outputs straddle two series; they are computed
+    and dropped. Returns (out (B, T, Cout), padded) where padded is the
+    (B*(T+K-1), Cin) segment buffer, reused by the backward pass.
     """
     out_ch, in_ch, kernel = w.shape
     batch = x.shape[0]
     x = x.reshape(batch, -1, in_ch)
     length = x.shape[1]
-    left, right = _pad_amounts(kernel)
-    cols = _im2col(_segments(x, left, right), kernel)
-    wmat = w.transpose(2, 1, 0).reshape(kernel * in_ch, out_ch)
-    out = np.empty((cols.shape[0] + kernel - 1, out_ch))
-    np.matmul(cols, wmat, out=out[: cols.shape[0]])
-    out = _unsegment(out, batch, length, kernel)
+    padded = _segments(x, *_pad_amounts(kernel))
+    out = _unsegment(_correlate(padded, w.transpose(2, 1, 0)), batch, length, kernel)
     out += b
-    return out, cols
+    return out, padded
 
 
 def conv1d_backward(
     dout: np.ndarray,
-    cols: np.ndarray,
+    padded: np.ndarray,
     w: np.ndarray,
     x_shape,
     *,
@@ -284,28 +307,31 @@ def conv1d_backward(
 ):
     """Gradients of the padded convolution w.r.t. input, weights, and bias.
 
-    dout is (B, T, Cout) and x_shape the shape of the forward's input. dout
-    is zero-padded into segments that mirror the forward's (`right` zeros
-    before, `left` after). Read from row `right` on, that one buffer holds
-    dout in each segment's first T rows and zeros in the straddling rows, so
-    dW = cols^T @ dout is one GEMM. dx is the transposed convolution: im2col
-    of the padded dout times the kernel-flipped weights, again one GEMM,
-    returned in x_shape. With input_grad=False, dx is not computed and None
-    is returned in its place.
+    dout is (B, T, Cout), padded the segment buffer returned by the forward
+    pass and x_shape the shape of the forward's input. dout is zero-padded
+    into segments that mirror the forward's (`right` zeros before, `left`
+    after). Read from row `right` on, that one buffer holds dout in each
+    segment's first T rows and zeros in the straddling rows, so
+    dW[:, :, k] is one GEMM of the shifted, contiguous view padded[k:] with
+    it, K GEMMs in all. dx is the transposed convolution: the correlation of
+    the padded dout with the kernel-flipped, transposed weights, returned in
+    x_shape. With input_grad=False, dx is not computed and None is returned
+    in its place.
     """
     batch, length, _ = dout.shape
     out_ch, in_ch, kernel = w.shape
     left, right = _pad_amounts(kernel)
     flat = _segments(dout, right, left)
-    rows = cols.shape[0]
+    rows = padded.shape[0] - kernel + 1
     db = dout.sum(axis=(0, 1))
-    dw = (cols.T @ flat[right : right + rows]).reshape(kernel, in_ch, out_ch)
+    grad_rows = flat[right : right + rows]
+    dw = np.empty((kernel, in_ch, out_ch))
+    for k in range(kernel):
+        np.matmul(padded[k : k + rows].T, grad_rows, out=dw[k])
     dw = np.ascontiguousarray(dw.transpose(2, 1, 0))
     if not input_grad:
         return None, dw, db
-    wflip = w[:, :, ::-1].transpose(2, 0, 1).reshape(kernel * out_ch, in_ch)
-    dx = np.empty((rows + kernel - 1, in_ch))
-    np.matmul(_im2col(flat, kernel), wflip, out=dx[:rows])
+    dx = _correlate(flat, w[:, :, ::-1].transpose(2, 0, 1))
     return _unsegment(dx, batch, length, kernel).reshape(x_shape), dw, db
 
 
@@ -402,7 +428,7 @@ def _forward_impl(model: FcnModel, x: np.ndarray, training: bool):
             np.maximum(out, 0.0, out=out)
             continue
         conv_in_shape = out.shape
-        out, cols = conv1d_forward(out, model.conv_w[i], model.conv_b[i])
+        out, padded = conv1d_forward(out, model.conv_w[i], model.conv_b[i])
         out, xhat, inv_std, mu, var = batchnorm_forward_train(
             out, model.bn_gamma[i], model.bn_beta[i]
         )
@@ -410,7 +436,7 @@ def _forward_impl(model: FcnModel, x: np.ndarray, training: bool):
         model.bn_var[i] = BN_MOMENTUM * model.bn_var[i] + (1 - BN_MOMENTUM) * var
         mask = out > 0
         out *= mask
-        caches.append((conv_in_shape, cols, xhat, inv_std, mask))
+        caches.append((conv_in_shape, padded, xhat, inv_std, mask))
     gap = out.mean(axis=1)  # (B, F3)
     logits = gap @ model.head_w + model.head_b
     if training:
@@ -472,12 +498,12 @@ def _loss_and_gradients_impl(model: FcnModel, batch):
 
     dout = (dgap / length)[:, None, :]
     for i in (2, 1, 0):
-        conv_in_shape, cols, xhat, inv_std, mask = caches[i]
+        conv_in_shape, padded, xhat, inv_std, mask = caches[i]
         dout = dout * mask
         dout, dgamma, dbeta = batchnorm_backward(dout, xhat, inv_std, model.bn_gamma[i])
         # The network input needs no gradient.
         dout, dw, db = conv1d_backward(
-            dout, cols, model.conv_w[i], conv_in_shape, input_grad=i > 0
+            dout, padded, model.conv_w[i], conv_in_shape, input_grad=i > 0
         )
         grads[f"bn{i + 1}.gamma"] = dgamma
         grads[f"bn{i + 1}.beta"] = dbeta
@@ -550,7 +576,9 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     means over the epoch's batches as trained. The input model is not
     mutated; the returned model is the snapshot from the epoch with the
     strictly lowest train loss (earliest epoch on ties), and the history
-    covers every epoch. Fully deterministic for a given seed.
+    covers every epoch. Raises ValueError when no epoch reaches a finite
+    loss, since there is then no checkpoint to return. Fully deterministic
+    for a given seed.
     """
     items = list(train_split)
     if not items:
@@ -587,6 +615,12 @@ def train(model: FcnModel, train_split, config: TrainConfig):
             best_loss = epoch_loss
             best_model = clone_model(work)
             history.best_epoch = epoch
+    if best_model is None:
+        raise ValueError(
+            f"train: no epoch reached a finite loss in {config.epochs} epochs "
+            f"(last loss {history.losses[-1]}); the data or the learning rate "
+            "overflows float64"
+        )
     return best_model, history
 
 
@@ -594,7 +628,7 @@ def evaluate(model: FcnModel, split) -> float:
     """Fraction of samples whose argmax class matches the label (eval mode).
 
     Argmax ties resolve to the lowest class index. Series go through the
-    network _EVAL_CHUNK at a time, which bounds the im2col buffers.
+    network _EVAL_CHUNK at a time, which bounds the convolution buffers.
     """
     series, labels = _split_pairs(split)
     if not series:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset
+from .core import DataValidationError, Dataset
 from .fcn import TrainConfig, build_model, evaluate, train
 from .similarity import SimilarityMatrix, SourceRanking, rank_sources
 from .textfmt import dump_json_17g, fmt17
@@ -349,7 +349,13 @@ def run_matrix(
 
 
 def load_matrix_results(out_dir, names=None) -> VariationMatrix:
-    """Rebuild a VariationMatrix from a results directory written by run_matrix."""
+    """Rebuild a VariationMatrix from a results directory written by run_matrix.
+
+    All cell records must come from one run: the same seeds, the same
+    TrainConfig and, per dataset name, the same content digest. A resumed
+    run that changed any of them overwrites only its own cells, so a mix is
+    refused with a DataValidationError naming two cells that disagree.
+    """
     cells_dir = os.path.join(out_dir, "cells")
     if not os.path.isdir(cells_dir):
         raise FileNotFoundError(f"no cells directory under {out_dir!r}")
@@ -370,9 +376,28 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
         key = (record["source"], record["target"])
         cells[key] = record
         seen.update(key)
+    _check_one_run(cells, out_dir)
     if names is None:
         names = tuple(sorted(seen))
     return VariationMatrix(names=tuple(names), cells=cells, failures=failures)
+
+
+def _check_one_run(cells: dict, out_dir) -> None:
+    first: dict[str, tuple] = {}  # what -> (first cell, its value)
+
+    def claim(what, cell, value):
+        seen_cell, seen_value = first.setdefault(what, (cell, value))
+        if value != seen_value:
+            raise DataValidationError(
+                f"{out_dir}: cells {seen_cell} and {cell} disagree on {what}; "
+                "they come from different runs"
+            )
+
+    for cell, record in sorted(cells.items()):
+        claim("seeds", cell, record.get("seeds"))
+        claim("config", cell, record.get("config"))
+        claim(f"the contents of {cell[0]!r}", cell, record.get("source_digest"))
+        claim(f"the contents of {cell[1]!r}", cell, record.get("target_digest"))
 
 
 def write_variation_csv(matrix: VariationMatrix, path) -> None:

@@ -74,6 +74,13 @@ def _expected_shapes(filters, class_count: int) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _declared_tuple(value, what: str, path) -> tuple:
+    """A header list as a tuple; any other JSON value is a ModelShapeError."""
+    if not isinstance(value, list):
+        raise ModelShapeError(f"{path}: {what} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def save_model(model: FcnModel, path) -> None:
     """Serialize all 20 tensors (parameters plus running statistics).
 
@@ -128,6 +135,8 @@ def load_model(path) -> FcnModel:
     except ValueError as exc:
         raise ModelFileError(f"{path}: header is not valid JSON: {exc}") from None
 
+    if not isinstance(header, dict):
+        raise ModelFileError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise UnknownModelVersionError(f"{path}: unknown format version {version!r}")
@@ -136,8 +145,8 @@ def load_model(path) -> FcnModel:
         raise ModelFileError(
             f"{path}: payload dtype {dtype!r} is not {_PAYLOAD_DTYPE!r}"
         )
-    filters = tuple(header.get("filters", ()))
-    kernels = tuple(header.get("kernels", ()))
+    filters = _declared_tuple(header.get("filters"), "filters", path)
+    kernels = _declared_tuple(header.get("kernels"), "kernels", path)
     class_count = header.get("class_count")
     if kernels != KERNEL_SIZES:
         raise ModelShapeError(f"{path}: kernel sizes {kernels} != {KERNEL_SIZES}")
@@ -147,7 +156,11 @@ def load_model(path) -> FcnModel:
         raise ModelFileError(f"{path}: bad class_count {class_count!r}")
 
     expected = _expected_shapes(filters, class_count)
-    directory = header.get("tensors", [])
+    directory = header.get("tensors")
+    if not isinstance(directory, list) or not all(
+        isinstance(entry, dict) for entry in directory
+    ):
+        raise ModelFileError(f"{path}: tensor directory is not a list of objects")
     names = [entry.get("name") for entry in directory]
     if names != list(expected):
         raise ModelShapeError(
@@ -159,7 +172,7 @@ def load_model(path) -> FcnModel:
     arrays: dict[str, np.ndarray] = {}
     for entry in directory:
         name = entry["name"]
-        shape = tuple(entry.get("shape", ()))
+        shape = _declared_tuple(entry.get("shape"), f"tensor {name} shape", path)
         if shape != expected[name]:
             raise ModelShapeError(
                 f"{path}: tensor {name} declared {shape}, expected {expected[name]}"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,13 +246,19 @@ def max_rel(actual, expected):
 
 
 class TestConvAgainstReference:
+    # Per kernel size, Cin < Cout, Cin > Cout and Cin == Cout, so both
+    # branches of the correlation kernel are checked in forward and in dx.
     SHAPES = [  # (kernel, batch, length, in_ch, out_ch)
         (8, 3, 20, 1, 5),
         (8, 4, 3, 2, 3),
+        (8, 3, 11, 6, 2),
+        (8, 3, 7, 4, 4),
         (5, 3, 17, 4, 6),
         (5, 5, 1, 3, 2),
+        (5, 4, 6, 5, 5),
         (3, 3, 9, 6, 4),
         (3, 4, 2, 5, 7),
+        (3, 3, 5, 3, 3),
     ]
 
     @pytest.mark.parametrize("kernel,batch,length,in_ch,out_ch", SHAPES)
@@ -261,16 +269,16 @@ class TestConvAgainstReference:
         w = rng.standard_normal((out_ch, in_ch, kernel))
         b = rng.standard_normal(out_ch)
         g = rng.standard_normal((batch, length, out_ch))
-        out, cols = conv1d_forward(x, w, b)
+        out, padded = conv1d_forward(x, w, b)
         assert out.shape == (batch, length, out_ch)
         assert max_rel(out, reference_conv(x, w, b)) <= 1e-12
-        dx, dw, db = conv1d_backward(g, cols, w, x.shape)
+        dx, dw, db = conv1d_backward(g, padded, w, x.shape)
         dx_ref, dw_ref, db_ref = reference_conv_grads(x, w, g)
         assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
         assert max_rel(dx, dx_ref) <= 1e-12
         assert max_rel(dw, dw_ref) <= 1e-12
         assert max_rel(db, db_ref) <= 1e-12
-        no_dx, dw2, db2 = conv1d_backward(g, cols, w, x.shape, input_grad=False)
+        no_dx, dw2, db2 = conv1d_backward(g, padded, w, x.shape, input_grad=False)
         assert no_dx is None
         assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
 
@@ -282,14 +290,14 @@ class TestConvAgainstReference:
         w = rng.standard_normal((out_ch, in_ch, kernel))
         b = rng.standard_normal(out_ch)
         g = rng.standard_normal((batch, length, out_ch))
-        out, cols = conv1d_forward(x, w, b)
-        dx, _, _ = conv1d_backward(g, cols, w, x.shape)
+        out, padded = conv1d_forward(x, w, b)
+        dx, _, _ = conv1d_backward(g, padded, w, x.shape)
         for changed in range(batch):
             x2, g2 = x.copy(), g.copy()
             x2[changed] += 100.0
             g2[changed] -= 100.0
-            out2, cols2 = conv1d_forward(x2, w, b)
-            dx2, _, _ = conv1d_backward(g2, cols2, w, x.shape)
+            out2, padded2 = conv1d_forward(x2, w, b)
+            dx2, _, _ = conv1d_backward(g2, padded2, w, x.shape)
             for kept in range(batch):
                 if kept == changed:
                     continue
@@ -375,6 +383,19 @@ class TestLossAndGradients:
             worst = max(err.max() for err in errors.values())
             assert worst < 1e-4, {k: float(v.max()) for k, v in errors.items()}
             assert skipped <= 2
+
+    def test_default_step_memory_peak(self):
+        # Allocation sizes depend only on the shapes, so the peak is exact.
+        rng = np.random.default_rng(40)
+        m = build_model(3, seed=41)
+        batch = [(rng.standard_normal(128), k % 3) for k in range(16)]
+        tracemalloc.start()
+        try:
+            loss_and_gradients(m, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_gradient_shapes_match_parameters(self):
         m = build_model(3, seed=14, filters=TINY)
@@ -479,6 +500,13 @@ class TestTrain:
         assert [len(b) for b in batches] == [16, 4]
         batches = _epoch_batches(np.arange(1), 16)
         assert [len(b) for b in batches] == [1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_loss_raises(self):
+        split = [(np.full(8, 1.7e308 * (-1) ** k), k % 2) for k in range(8)]
+        m = build_model(2, seed=35, filters=TINY)
+        with pytest.raises(ValueError, match="no epoch reached a finite loss"):
+            train(m, split, TrainConfig(epochs=2))
 
     def test_empty_split_rejected(self):
         m = build_model(2, seed=35, filters=TINY)

@@ -9,6 +9,9 @@ import pytest
 import tstransfer.harness as harness
 from helpers import make_sine_dataset
 from tstransfer import (
+    DataValidationError,
+    Dataset,
+    LabeledSeries,
     SimilarityMatrix,
     SourceRanking,
     TrainConfig,
@@ -254,6 +257,35 @@ class TestRunMatrix:
         matrix = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
         loaded = load_matrix_results(out)
         assert loaded.cells == matrix.cells
+
+    def test_load_refuses_cells_of_different_runs(self, tmp_path):
+        out = tmp_path / "mixed"
+        run_matrix(tiny_datasets(3), TrainConfig(epochs=1, batch_size=8), out_dir=out)
+        run_matrix(tiny_datasets(2), TrainConfig(epochs=2, batch_size=8), seeds=[3],
+                   out_dir=out)
+        with pytest.raises(DataValidationError, match=r"cells \('A', 'B'\) and"):
+            load_matrix_results(out)
+
+        # same seeds and config, changed data under the same names
+        out = tmp_path / "changed"
+        config = TrainConfig(epochs=1, batch_size=8)
+        run_matrix(tiny_datasets(3), config, out_dir=out)
+        run_matrix(tiny_datasets(2, seed=70), config, out_dir=out)
+        with pytest.raises(DataValidationError, match="contents of 'A'"):
+            load_matrix_results(out)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cell_whose_training_overflows_records_the_cause(self):
+        def overflow(n):
+            return tuple(
+                LabeledSeries(np.full(16, 1.7e308 * (-1) ** k), k % 2) for k in range(n)
+            )
+
+        huge = Dataset(name="H", train=overflow(8), test=overflow(4), class_count=2)
+        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST)
+        assert not matrix.cells
+        for pair in (("A", "H"), ("H", "A")):
+            assert matrix.failures[pair].startswith("ValueError: train: no epoch")
 
     def test_multi_seed_cells_average(self, tmp_path):
         datasets = tiny_datasets(2)

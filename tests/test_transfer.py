@@ -38,11 +38,16 @@ def nudge_stats(model, seed):
 
 
 def rewrite_header(path, edit):
-    """Apply edit to the JSON header of a model file in place."""
+    """Apply edit to the JSON header of a model file in place.
+
+    edit changes the header in place or returns a replacement for it.
+    """
     blob = path.read_bytes()
     header_len = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16 : 16 + header_len])
-    edit(header)
+    replacement = edit(header)
+    if replacement is not None:
+        header = replacement
     new_header = json.dumps(header).encode()
     path.write_bytes(
         blob[:8] + len(new_header).to_bytes(8, "little") + new_header
@@ -122,6 +127,21 @@ class TestSaveLoad:
         save_model(m, path)
         rewrite_header(path, lambda header: header.update(dtype=dtype))
         with pytest.raises(ModelFileError, match="dtype"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: [header],
+        lambda header: header["tensors"].__setitem__(0, 7),
+        lambda header: header.update(filters=4),
+        lambda header: header.update(kernels=None),
+        lambda header: header["tensors"][0].update(shape=4),
+    ], ids=["header_list", "tensor_entry_int", "filters_int", "kernels_null",
+            "shape_int"])
+    def test_wrong_header_structure(self, tmp_path, edit):
+        path = tmp_path / "m.fcn"
+        save_model(build_model(2, seed=10, filters=TINY), path)
+        rewrite_header(path, edit)
+        with pytest.raises(ModelFileError):
             load_model(path)
 
     def test_missing_file(self, tmp_path):
