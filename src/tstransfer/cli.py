@@ -190,7 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--datasets", required=True, help="comma-separated dataset names")
     p.add_argument("--out", required=True, help="matrix CSV path")
-    p.add_argument("--dba-iters", type=int, default=10)
+    p.add_argument(
+        "--dba-iters", type=int, default=10,
+        help="DBA refinement steps per class prototype (default 10); steps "
+        "after a fixed point are skipped, which leaves the result unchanged",
+    )
     p.set_defaults(func=_cmd_similarity)
 
     p = sub.add_parser("rank", help="rank candidate sources for a target dataset")

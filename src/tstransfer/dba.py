@@ -19,7 +19,11 @@ __all__ = ["DbaConfig", "dba_iteration", "dba_average"]
 
 @dataclass(frozen=True)
 class DbaConfig:
-    """Number of refinement iterations applied after medoid initialization."""
+    """Number of refinement iterations applied after medoid initialization.
+
+    The result is always that of exactly this many steps; `dba_average`
+    skips the steps after a fixed point, which return the same bits.
+    """
 
     iterations: int = 10
 
@@ -38,7 +42,7 @@ def dba_iteration(prototype, members) -> np.ndarray:
     samples summed in member order, then path order).
     """
     proto = np.asarray(prototype, dtype=np.float64)
-    members = [np.asarray(m, dtype=np.float64).ravel() for m in members]
+    members = [np.atleast_1d(np.asarray(m, dtype=np.float64)) for m in members]
     if not members:
         raise ValueError("dba_iteration: empty member set")
     coords, samples = [], []
@@ -59,14 +63,19 @@ def dba_iteration(prototype, members) -> np.ndarray:
 def dba_average(members, config: DbaConfig = DbaConfig()) -> np.ndarray:
     """Average a non-empty set of series in the warping-induced space.
 
-    Initializes the prototype to the set's medoid and applies exactly
-    config.iterations refinement steps.
+    Initializes the prototype to the set's medoid and returns the result of
+    exactly config.iterations refinement steps; steps after a fixed point
+    are skipped. A step reads the prototype only through the warping paths,
+    so once a step returns a prototype equal to its input, every later step
+    returns those same bits.
     """
     members = list(members)
     if not members:
         raise ValueError("dba_average: empty member set")
     proto = np.array(members[medoid(members)], dtype=np.float64)
     for _ in range(config.iterations):
-        proto = dba_iteration(proto, members)
+        previous, proto = proto, dba_iteration(proto, members)
+        if np.array_equal(proto, previous):
+            break
     proto.flags.writeable = False
     return proto

@@ -11,13 +11,19 @@ Every alignment runs through one kernel, `_wavefront`, which fills the
 table an anti-diagonal at a time. Cell (i, j) of the table D lies on
 diagonal s = i + j, and its three predecessors lie on diagonals s-1 and
 s-2, so a whole diagonal depends only on earlier ones. The table is stored
-skewed, in diagonal-major order: `S[s, i+1, p] = D_p[i, s-i]`. Column 0
-stands for i = -1 and holds inf, as does every slot outside the band
-max(0, s-m+1) <= i <= min(n-1, s). With the second series stored reversed
-in time, the samples of one diagonal are contiguous slices of both series,
-and the diagonal is a handful of ufunc calls over contiguous slices. The
-last axis holds a batch of P pairs that share both lengths, so one call
-aligns a reference against many members.
+skewed, in diagonal-major order: `S[s, i+1, p] = D_p[i, s-i]`, and column 0
+stands for i = -1 and holds inf. The last axis holds a batch of P pairs
+that share both lengths, so one call aligns a reference against many
+members.
+
+The kernel works on blocks of diagonals. With the second series reversed
+in time and padded with n-1 infs on both sides, the samples b[s-i] of
+diagonal s, i = 0..n-1, are one window of the padded series, so the squared
+differences of a whole block are one subtract and one multiply over a
+sliding-window view, written straight into the block's rows of the table.
+Cells outside the band 0 <= s-i <= m-1 meet an inf sample and get an inf
+cost, so they stay inf, and every diagonal is then two minimums and one add
+over full rows, with no band limits.
 
 Each cell does the same float operations as the textbook scalar loop: the
 local cost d*d of d = a[i] - b[j], plus the exact minimum of its three
@@ -28,16 +34,19 @@ under IEEE commutativity. Every cell, and so every cost and backtracked
 path, is therefore bit-identical to the loop. Samples must be finite: a NaN
 would propagate through np.minimum where the loop's `<` skips it.
 
-Memory: the distance keeps a ring of three diagonals, O(n + m). A path
-needs the whole table, (n+m-1) * (n+1) float64 slots, about 16 bytes per
-cell of D when the lengths are equal (a table of Python floats in lists
-took about 32). `dtw_paths` splits its batch so that one table stays under
-`_PATH_TABLE_BYTES`.
+Memory: the distance fills a table of `_DISTANCE_ROWS` diagonals block by
+block, carrying the last two diagonals into the next block, so it needs
+O(n + m). It puts the shorter series on the rows, so its n+m-1 diagonals
+of min(n, m) cells each keep the time O(n * m). A path needs the whole
+table as one block, (n+m-1) * (n+1) float64 slots, about 16 bytes per
+cell of D when the lengths are equal. `dtw_paths` splits its batch so
+that one table stays under `_PATH_TABLE_BYTES`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "dtw_distance",
@@ -51,9 +60,17 @@ __all__ = [
 # bytes; a table that holds a single pair may exceed it.
 _PATH_TABLE_BYTES = 64 * 2**20
 
+# Rows of the table `dtw_distance` fills block by block.
+_DISTANCE_ROWS = 64
+
 
 def _as_series(series, arg_name: str) -> np.ndarray:
-    values = np.asarray(series, dtype=np.float64).ravel()
+    values = np.asarray(series, dtype=np.float64)
+    if values.ndim > 1:
+        raise ValueError(
+            f"dtw: series {arg_name!r} must be one-dimensional, got shape {values.shape}"
+        )
+    values = values.reshape(-1)
     if values.size == 0:
         raise ValueError(f"dtw: series {arg_name!r} is empty")
     if not np.isfinite(values).all():
@@ -61,37 +78,46 @@ def _as_series(series, arg_name: str) -> np.ndarray:
     return values
 
 
-def _wavefront(x: np.ndarray, y_rev: np.ndarray, table: np.ndarray) -> None:
+def _wavefront(x: np.ndarray, y_rev: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Fill the skewed cost table of x against y_rev, both (length, P).
 
     Column p of `x` and of `y_rev` is pair p, with its second series
-    reversed in time; both are C-contiguous, so every slice below is one
-    contiguous run. Diagonal s is written to `table[s % depth]`, so a table
-    of depth n+m-1 keeps every diagonal and a ring of depth 3 keeps the
-    last three. The table must start filled with inf; slots outside the
-    band are never written.
+    reversed in time. The table is filled in blocks of diagonals: the first
+    block takes diagonals 0 .. depth-1 into rows 0 .. depth-1, and each
+    later block first copies the last two diagonals into rows 0 and 1, then
+    takes the next depth-2 diagonals into rows 2 .. depth-1. A table of
+    depth n+m-1 is one block that keeps every diagonal in row s. The table
+    may start uninitialised. Returns the row that holds the last diagonal.
     """
     n, m = x.shape[0], y_rev.shape[0]
     depth, width = table.shape[0], table.shape[2]
-    rows = list(table)
-    cost = np.empty((min(n, m), width))
-    best = np.empty_like(cost)
-    for s in range(n + m - 1):
-        lo, hi = max(0, s - m + 1), min(n - 1, s) + 1
-        d = cost[: hi - lo]
-        # b[s - i] for i = lo..hi-1 is a contiguous run of the reversed series.
-        np.subtract(x[lo:hi], y_rev[m - 1 - s + lo : m - 1 - s + hi], out=d)
-        np.multiply(d, d, out=d)
-        out = rows[s % depth][lo + 1 : hi + 1]
-        if s == 0:
-            out[...] = d
-            continue
-        prev = rows[(s - 1) % depth]
-        b = best[: hi - lo]
-        np.minimum(prev[lo:hi], prev[lo + 1 : hi + 1], out=b)  # up, left
-        if s >= 2:
-            np.minimum(b, rows[(s - 2) % depth][lo:hi], out=b)  # diagonal
-        np.add(d, b, out=out)
+    diagonals = n + m - 1
+    # windows[s, i] = b[s - i], with inf where s - i is outside 0 .. m-1.
+    pad = np.full((n - 1, width), np.inf)
+    windows = sliding_window_view(np.concatenate([pad, y_rev, pad]), n, axis=0)
+    windows = windows.transpose(0, 2, 1)[::-1]
+    table[:, 0] = np.inf
+    up, left = list(table[:, :-1]), list(table[:, 1:])
+    best = np.empty((n, width))
+    s, row = 0, 0  # the block's first diagonal and the row it goes to
+    while True:
+        stop = min(diagonals, s + depth - row)
+        end = row + stop - s
+        # Squared differences of the whole block, inf outside the band.
+        block = table[row:end, 1:]
+        np.subtract(x, windows[s:stop], out=block)
+        np.multiply(block, block, out=block)
+        if row == 0 and end > 1:  # diagonal 1 has no diagonal predecessor
+            np.minimum(up[0], left[0], out=best)
+            np.add(left[1], best, out=left[1])
+        for r in range(2, end):
+            np.minimum(up[r - 1], left[r - 1], out=best)
+            np.minimum(best, up[r - 2], out=best)
+            np.add(left[r], best, out=left[r])
+        if stop == diagonals:
+            return table[end - 1]
+        table[:2] = table[end - 2 : end]
+        s, row = stop, 2
 
 
 def _backtrack(table: np.ndarray, n: int, m: int, p: int) -> list[tuple[int, int]]:
@@ -134,7 +160,7 @@ def _paths(x: np.ndarray, ys: list[np.ndarray]) -> list:
         for start in range(0, len(members), chunk):
             part = members[start : start + chunk]
             y_rev = np.stack([ys[k][::-1] for k in part], axis=1)
-            table = np.full((n + m - 1, n + 1, len(part)), np.inf)
+            table = np.empty((n + m - 1, n + 1, len(part)))
             _wavefront(np.repeat(x[:, None], len(part), axis=1), y_rev, table)
             for p, k in enumerate(part):
                 out[k] = (table.item(n + m - 2, n, p), _backtrack(table, n, m, p))
@@ -145,15 +171,18 @@ def dtw_distance(a, b) -> float:
     """Minimum cumulative squared-difference cost over all warping paths.
 
     Symmetric, non-negative, and zero for identical inputs. Raises
-    ValueError on an empty series or a non-finite sample. O(len(a) *
-    len(b)) time and O(len(a) + len(b)) memory.
+    ValueError on an empty or multi-dimensional series or a non-finite
+    sample. O(len(a) * len(b)) time and O(len(a) + len(b)) memory.
     """
     x = _as_series(a, "a")
     y = _as_series(b, "b")
-    n, m = len(x), len(y)
-    ring = np.full((3, n + 1, 1), np.inf)
-    _wavefront(x[:, None], y[::-1, None].copy(), ring)
-    return ring.item((n + m - 2) % 3, n, 0)
+    # Every diagonal spans len(x) cells, so x is the shorter series; the
+    # cost is bit-symmetric, since (-d)*(-d) == d*d and min is exact.
+    if len(x) > len(y):
+        x, y = y, x
+    n = len(x)
+    table = np.empty((_DISTANCE_ROWS, n + 1, 1))
+    return _wavefront(x[:, None], y[::-1, None], table).item(n, 0)
 
 
 def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:

@@ -176,19 +176,27 @@ def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:
 
 def read_matrix_csv(path) -> SimilarityMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != [""]:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows or rows[0][1][:1] != [""]:
         raise DataValidationError(f"{path}: not a similarity-matrix CSV")
-    names = tuple(rows[0][1:])
+    names = tuple(rows[0][1][1:])
     values = np.zeros((len(names), len(names)))
     if len(rows) != len(names) + 1:
         raise DataValidationError(f"{path}: expected {len(names)} data rows")
-    for i, row in enumerate(rows[1:]):
+    for i, (line, row) in enumerate(rows[1:]):
+        if len(row) != len(names) + 1:
+            raise DataValidationError(
+                f"{path}:{line}: expected {len(names) + 1} cells, got {len(row)}"
+            )
         if row[0] != names[i]:
             raise DataValidationError(
-                f"{path}: row label {row[0]!r} does not match column {names[i]!r}"
+                f"{path}:{line}: row label {row[0]!r} does not match column {names[i]!r}"
             )
-        values[i] = [float(v) for v in row[1:]]
+        try:
+            values[i] = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise DataValidationError(f"{path}:{line}: {exc}") from None
     return SimilarityMatrix(names=names, values=values)
 
 

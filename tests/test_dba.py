@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tstransfer.dba as dba
 from helpers import dba_iteration_reference, reference_and_members
 from tstransfer import DbaConfig, dba_average, dba_iteration, dtw_distance, medoid
 
@@ -43,6 +45,13 @@ class TestDbaIteration:
         prototype, members = case
         out = dba_iteration(prototype, members)
         assert out.tobytes() == dba_iteration_reference(prototype, members).tobytes()
+
+    def test_rejects_multi_dimensional_member(self):
+        with pytest.raises(ValueError, match=r"members\[0\].*\(2, 3\)"):
+            dba_iteration(np.zeros(6), [np.arange(6.0).reshape(2, 3)])
+
+    def test_scalar_member_is_a_one_sample_series(self):
+        assert np.array_equal(dba_iteration(np.zeros(1), [3.0, 5.0]), [4.0])
 
     def test_length_preserved(self):
         rng = np.random.default_rng(2)
@@ -91,6 +100,43 @@ class TestDbaAverage:
         for _ in range(4):
             proto = dba_iteration(proto, members)
         assert np.array_equal(dba_average(members, DbaConfig(iterations=4)), proto)
+
+    @settings(max_examples=100, deadline=None)
+    @given(reference_and_members(max_len=24), st.integers(1, 12))
+    def test_equals_explicit_steps_from_medoid(self, case, k):
+        # Integer members tie often and reach a fixed point within a few
+        # steps; float members mostly run all k.
+        reference, members = case
+        members = [reference] + members
+        proto = np.array(members[medoid(members)], dtype=np.float64)
+        for _ in range(k):
+            proto = dba_iteration(proto, members)
+        assert dba_average(members, DbaConfig(k)).tobytes() == proto.tobytes()
+
+    def test_near_fixed_point_keeps_stepping(self):
+        # The first step moves the last coordinate by 2.5e-8 only, and the
+        # second step then changes the warping paths.
+        members = [np.array([0.0, 1.0, 2.0000001]), np.array([1.0, 0.0, 1.0]),
+                   np.array([0.0, 3.0, 0.0])]
+        one = dba_iteration(members[1], members)
+        assert np.allclose(one, members[1], rtol=1e-7) and not np.array_equal(one, members[1])
+        two = dba_iteration(one, members)
+        assert np.array_equal(dba_average(members, DbaConfig(1)), one)
+        assert dba_average(members, DbaConfig(2)).tobytes() == two.tobytes()
+
+    def test_identical_members_run_one_step(self, monkeypatch):
+        calls = []
+        step = dba.dba_iteration
+
+        def counting(prototype, members):
+            calls.append(1)
+            return step(prototype, members)
+
+        monkeypatch.setattr(dba, "dba_iteration", counting)
+        s = np.array([0.3, -1.1, 0.8, 0.8])
+        out = dba_average([s, s.copy(), s.copy()], DbaConfig(iterations=10))
+        assert np.array_equal(out, s)
+        assert len(calls) == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(31)

@@ -47,6 +47,35 @@ class TestDtwDistance:
             b = rng.uniform(-2, 2, rng.integers(1, 9))
             assert dtw_distance(a, b) == dtw_brute_force(a, b)
 
+    def test_blocks_of_diagonals_match_reference(self):
+        # n+m-1 diagonals on both sides of each block boundary of the table.
+        rows = dtw._DISTANCE_ROWS
+        rng = np.random.default_rng(43)
+        for diagonals in (rows - 1, rows, rows + 1, 2 * rows - 2, 2 * rows - 1,
+                          3 * rows - 4, 5 * rows + 3):
+            for n in (1, diagonals // 2, diagonals // 3, diagonals):
+                m = diagonals + 1 - n
+                a = rng.integers(-2, 3, n).astype(float)
+                b = rng.standard_normal(m)
+                assert dtw_distance(a, b) == dtw_path_reference(a, b)[0]
+                assert dtw_distance(b, a) == dtw_path_reference(b, a)[0]
+
+    def test_diagonals_span_the_shorter_series(self, monkeypatch):
+        # A diagonal of the kernel spans every sample of its first series,
+        # so a long first series would cost O(n * n) instead of O(n * m).
+        widths = []
+        kernel = dtw._wavefront
+
+        def recording(x, y_rev, table):
+            widths.append(x.shape[0])
+            return kernel(x, y_rev, table)
+
+        monkeypatch.setattr(dtw, "_wavefront", recording)
+        long, short = np.linspace(-1, 1, 300), np.array([0.5, -0.5, 2.0])
+        assert dtw_distance(long, short) == dtw_path_reference(long, short)[0]
+        assert dtw_distance(short, long) == dtw_distance(long, short)
+        assert widths == [3, 3, 3]
+
     def test_diagonal_path_upper_bound_for_equal_lengths(self):
         rng = np.random.default_rng(9)
         for _ in range(40):
@@ -140,6 +169,23 @@ class TestNonFinite:
         args[position][1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             align(*args)
+
+
+class TestShapes:
+    @pytest.mark.parametrize(
+        "align",
+        [dtw_distance, dtw_path, lambda a, b: dtw_paths(a, [b])],
+        ids=["dtw_distance", "dtw_path", "dtw_paths"],
+    )
+    def test_rejects_multi_dimensional_series(self, align):
+        grid = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 3\)"):
+            align(grid, np.arange(6.0))
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(6, 1\)"):
+            align(np.arange(6.0), np.arange(6.0)[:, None])
+
+    def test_scalar_is_a_one_sample_series(self):
+        assert dtw_distance(3.0, [4.0, 4.0]) == 2.0
 
 
 class TestAgainstScalarReference:

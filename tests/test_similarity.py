@@ -233,6 +233,18 @@ class TestExports:
         assert back.names == m.names
         assert np.array_equal(back.values, m.values)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("b,1.5,0", r"matrix\.csv:3: expected 4 cells, got 3"),
+         ("b,1.5,0,x", r"matrix\.csv:3: could not convert string to float: 'x'")],
+        ids=["too-few-cells", "not-a-number"],
+    )
+    def test_matrix_csv_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "matrix.csv"
+        path.write_text(f",a,b,c\na,0,1.5,0.5\n{row}\nc,0.5,2,0\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=message):
+            read_matrix_csv(path)
+
     def test_ranking_json_schema(self, tmp_path):
         m = SimilarityMatrix(
             ("a", "b", "c"), np.array([[0, 1.5, 0.5], [1.5, 0, 2], [0.5, 2, 0]])
