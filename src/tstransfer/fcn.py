@@ -3,10 +3,15 @@
 Three convolution blocks (conv, stride 1, length-preserving zero padding,
 then batch normalization, then ReLU), global average pooling over time, and
 an affine softmax head. Forward pass, exact backpropagation, Adam, and the
-training loop are all implemented directly on float64 numpy arrays; no
-learning framework is involved. Global average pooling makes the classifier
+training loop are all implemented directly on numpy arrays; no learning
+framework is involved. Global average pooling makes the classifier
 independent of the input length, so one model can consume series of any
 length.
+
+The dtype of a model is that of its arrays, and every buffer of the forward
+and backward passes follows it. `build_model` returns float64 weights;
+`train` computes in `TrainConfig.dtype`, float32 by default as in the
+reference Keras models, and returns a model of that dtype.
 
 Activations are channels-last, (B, T, C), from the stacked batch to the
 pooling. Each convolution lays its input out as B zero-padded segments of
@@ -65,8 +70,9 @@ class FcnModel:
 
     conv_w[i] has shape (filters[i], in_channels, kernel), biases and the
     four batch-norm vectors are per-channel, head_w is (filters[-1], C).
-    Arrays are float64 and mutated in place during training; a model under
-    training must stay confined to one thread.
+    All arrays share one floating dtype, float32 or float64, which every
+    computation on the model follows. Arrays are mutated in place during
+    training; a model under training must stay confined to one thread.
     """
 
     conv_w: list[np.ndarray]
@@ -82,6 +88,10 @@ class FcnModel:
     @property
     def filters(self) -> tuple[int, ...]:
         return tuple(w.shape[0] for w in self.conv_w)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.conv_w[0].dtype
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         """All 20 named tensors in serialization order."""
@@ -116,7 +126,9 @@ class FcnModel:
 class TrainConfig:
     """Training hyperparameters; defaults are the standard recipe.
 
-    epochs = 0 is allowed as an explicit no-op boundary.
+    epochs = 0 is allowed as an explicit no-op boundary. dtype is the
+    precision training computes in, "float32" (the default) or "float64";
+    results are deterministic per dtype.
     """
 
     epochs: int = 2000
@@ -125,6 +137,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     seed: int = 0
+    dtype: str = "float32"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -135,6 +148,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("moment decay rates must lie in [0, 1)")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 @dataclass
@@ -205,16 +220,18 @@ def build_model(
     )
 
 
-def clone_model(model: FcnModel) -> FcnModel:
+def clone_model(model: FcnModel, dtype=None) -> FcnModel:
+    """Independent copy of a model, cast to dtype when one is given."""
+    dtype = model.dtype if dtype is None else dtype
     return FcnModel(
-        conv_w=[w.copy() for w in model.conv_w],
-        conv_b=[b.copy() for b in model.conv_b],
-        bn_gamma=[g.copy() for g in model.bn_gamma],
-        bn_beta=[b.copy() for b in model.bn_beta],
-        bn_mean=[m.copy() for m in model.bn_mean],
-        bn_var=[v.copy() for v in model.bn_var],
-        head_w=model.head_w.copy(),
-        head_b=model.head_b.copy(),
+        conv_w=[w.astype(dtype) for w in model.conv_w],
+        conv_b=[b.astype(dtype) for b in model.conv_b],
+        bn_gamma=[g.astype(dtype) for g in model.bn_gamma],
+        bn_beta=[b.astype(dtype) for b in model.bn_beta],
+        bn_mean=[m.astype(dtype) for m in model.bn_mean],
+        bn_var=[v.astype(dtype) for v in model.bn_var],
+        head_w=model.head_w.astype(dtype),
+        head_b=model.head_b.astype(dtype),
         class_count=model.class_count,
     )
 
@@ -232,7 +249,7 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
 def _segments(x: np.ndarray, left: int, right: int) -> np.ndarray:
     """(B, T, C) as one (B*(left+T+right), C) array of zero-padded segments."""
     batch, length, channels = x.shape
-    padded = np.zeros((batch, left + length + right, channels))
+    padded = np.zeros((batch, left + length + right, channels), dtype=x.dtype)
     padded[:, left : left + length] = x
     return padded.reshape(-1, channels)
 
@@ -258,7 +275,7 @@ def _correlate(padded: np.ndarray, wk: np.ndarray) -> np.ndarray:
     """
     kernel, in_ch, out_ch = wk.shape
     rows = padded.shape[0] - kernel + 1
-    out = np.empty((padded.shape[0], out_ch))
+    out = np.empty((padded.shape[0], out_ch), dtype=np.result_type(padded, wk))
     if in_ch <= out_ch:
         wmat = wk.reshape(kernel * in_ch, out_ch)
         np.matmul(_im2col(padded, kernel), wmat, out=out[:rows])
@@ -325,7 +342,7 @@ def conv1d_backward(
     rows = padded.shape[0] - kernel + 1
     db = dout.sum(axis=(0, 1))
     grad_rows = flat[right : right + rows]
-    dw = np.empty((kernel, in_ch, out_ch))
+    dw = np.empty((kernel, in_ch, out_ch), dtype=np.result_type(padded, grad_rows))
     for k in range(kernel):
         np.matmul(padded[k : k + rows].T, grad_rows, out=dw[k])
     dw = np.ascontiguousarray(dw.transpose(2, 1, 0))
@@ -387,7 +404,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _stack_batch(batch) -> np.ndarray:
+def _stack_batch(batch, dtype) -> np.ndarray:
+    """(B, T, 1) array of the batch's series in dtype.
+
+    A finite sample that the cast turns into inf (beyond the float32 range,
+    say) raises ValueError naming the dtype.
+    """
     series = []
     for item in batch:
         series.append(item.series if isinstance(item, LabeledSeries) else item)
@@ -396,7 +418,11 @@ def _stack_batch(batch) -> np.ndarray:
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ValueError(f"batch mixes series lengths {sorted(lengths)}")
-    return np.asarray(series, dtype=np.float64)[:, :, None]
+    with np.errstate(over="ignore"):
+        x = np.asarray(series, dtype=dtype)
+    if not np.isfinite(x).all() and np.isfinite(np.asarray(series, float)).all():
+        raise ValueError(f"batch has samples beyond the {x.dtype} range")
+    return x[:, :, None]
 
 
 def _split_pairs(split) -> tuple[list, list[int]]:
@@ -452,7 +478,7 @@ def forward(model: FcnModel, batch, mode: str = "eval") -> np.ndarray:
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _stack_batch(batch)
+    x = _stack_batch(batch, model.dtype)
     logits, _ = _forward_impl(model, x, training=(mode == "train"))
     return np.exp(_log_softmax(logits))
 
@@ -478,7 +504,7 @@ def _loss_and_gradients_impl(model: FcnModel, batch):
         raise ValueError(
             f"labels must lie in 0..{model.class_count - 1}, got {labels.tolist()}"
         )
-    x = _stack_batch(series)
+    x = _stack_batch(series, model.dtype)
     batch_size = x.shape[0]
 
     logits, (caches, gap, length) = _forward_impl(model, x, training=True)
@@ -570,15 +596,17 @@ def _epoch_batches(perm: np.ndarray, batch_size: int) -> list[np.ndarray]:
 def train(model: FcnModel, train_split, config: TrainConfig):
     """Mini-batch Adam training; returns the lowest-train-loss checkpoint.
 
-    Each epoch shuffles the split with the seeded generator, walks batches
-    of config.batch_size (the trailing batch may be smaller), and applies
-    one Adam step per batch. The epoch loss and accuracy are the per-sample
-    means over the epoch's batches as trained. The input model is not
-    mutated; the returned model is the snapshot from the epoch with the
-    strictly lowest train loss (earliest epoch on ties), and the history
-    covers every epoch. Raises ValueError when no epoch reaches a finite
-    loss, since there is then no checkpoint to return. Fully deterministic
-    for a given seed.
+    Training works on a copy of the model cast to config.dtype, so the
+    returned model has that dtype. Each epoch shuffles the split with the
+    seeded generator, walks batches of config.batch_size (the trailing
+    batch may be smaller), and applies one Adam step per batch. The epoch
+    loss and accuracy are the per-sample means over the epoch's batches as
+    trained. The input model is not mutated; the returned model is the
+    snapshot from the epoch with the strictly lowest train loss (earliest
+    epoch on ties), and the history covers every epoch. Raises ValueError
+    when no epoch reaches a finite loss, since there is then no checkpoint
+    to return. Fully deterministic for a given seed and dtype. With
+    epochs = 0 the input model is returned as it is.
     """
     items = list(train_split)
     if not items:
@@ -586,7 +614,7 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     if config.epochs == 0:
         return model, TrainHistory()
 
-    work = clone_model(model)
+    work = clone_model(model, config.dtype)
     rng = np.random.default_rng(config.seed)
     state = init_adam_state(work)
     history = TrainHistory()
@@ -619,7 +647,7 @@ def train(model: FcnModel, train_split, config: TrainConfig):
         raise ValueError(
             f"train: no epoch reached a finite loss in {config.epochs} epochs "
             f"(last loss {history.losses[-1]}); the data or the learning rate "
-            "overflows float64"
+            f"overflows {work.dtype}"
         )
     return best_model, history
 

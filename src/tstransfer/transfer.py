@@ -4,13 +4,15 @@ Models are written to `.fcn` files: an 8-byte magic, a little-endian uint64
 header length, a UTF-8 JSON manifest (format version, filter/kernel
 configuration, class count, and a named tensor directory with shapes and
 payload byte offsets), then the tensor payload as contiguous little-endian
-float32 data in directory order. In memory everything stays float64;
-conversion is round-to-nearest on save.
+float32 data in directory order. Saving rounds each tensor to the nearest
+float32, which loses nothing for a float32 model; loading returns a float32
+model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .fcn import (
     KERNEL_SIZES,
     FcnModel,
     TrainConfig,
+    clone_model,
     glorot_uniform_bound,
     train,
 )
@@ -119,7 +122,11 @@ def save_model(model: FcnModel, path) -> None:
 
 
 def load_model(path) -> FcnModel:
-    """Read a model file back, validating every declared shape and offset."""
+    """Read a model file back as a float32 model.
+
+    Every declared shape and offset is validated; a malformed file raises a
+    ModelFileError subclass.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MODEL_MAGIC) + 8:
@@ -182,13 +189,12 @@ def load_model(path) -> FcnModel:
                 f"{path}: tensor {name} offset {entry.get('offset')} is not "
                 f"contiguous (expected {offset})"
             )
-        nbytes = int(np.prod(shape)) * itemsize
-        if len(payload) < offset + nbytes:
+        count = math.prod(expected[name])
+        if len(payload) < offset + count * itemsize:
             raise TruncatedModelFileError(f"{path}: payload truncated at {name}")
-        raw = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE, count=int(np.prod(shape)),
-                            offset=offset)
-        arrays[name] = raw.astype(np.float64).reshape(shape)
-        offset += nbytes
+        raw = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE, count=count, offset=offset)
+        arrays[name] = raw.astype(np.float32).reshape(expected[name])
+        offset += count * itemsize
     if len(payload) != offset:
         raise ModelFileError(
             f"{path}: {len(payload) - offset} trailing bytes after the payload"
@@ -218,24 +224,19 @@ def swap_head(model: FcnModel, new_class_count: int, seed: int) -> FcnModel:
 
     The convolution and batch-norm tensors, including running statistics,
     are copied unchanged; the head becomes (filters[-1], new_class_count)
-    with zero bias. Deterministic for a given seed.
+    with zero bias, in the body's dtype. Deterministic for a given seed.
     """
     if new_class_count < 2:
         raise ValueError(f"new_class_count must be >= 2, got {new_class_count}")
     rng = np.random.default_rng(seed)
     feature_dim = model.filters[-1]
     bound = glorot_uniform_bound(feature_dim, new_class_count)
-    return FcnModel(
-        conv_w=[w.copy() for w in model.conv_w],
-        conv_b=[b.copy() for b in model.conv_b],
-        bn_gamma=[g.copy() for g in model.bn_gamma],
-        bn_beta=[b.copy() for b in model.bn_beta],
-        bn_mean=[m.copy() for m in model.bn_mean],
-        bn_var=[v.copy() for v in model.bn_var],
-        head_w=rng.uniform(-bound, bound, size=(feature_dim, new_class_count)),
-        head_b=np.zeros(new_class_count),
-        class_count=new_class_count,
-    )
+    head_w = rng.uniform(-bound, bound, size=(feature_dim, new_class_count))
+    swapped = clone_model(model)
+    swapped.head_w = head_w.astype(model.dtype)
+    swapped.head_b = np.zeros(new_class_count, dtype=model.dtype)
+    swapped.class_count = new_class_count
+    return swapped
 
 
 def fine_tune(pretrained: FcnModel, target: Dataset, config: TrainConfig, seed: int):

@@ -193,7 +193,7 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
 
     work = clone_model(model)
     series, labels = _split_pairs(batch)
-    x = _stack_batch(series)
+    x = _stack_batch(series, work.dtype)
     labels = np.asarray(labels)
     rows = np.arange(len(labels))
 

@@ -17,6 +17,7 @@ from tstransfer import (
     forward,
     init_adam_state,
     loss_and_gradients,
+    swap_head,
     train,
 )
 from tstransfer.fcn import (
@@ -179,7 +180,7 @@ class TestLayerPrimitives:
         # the network pools its last block's activations over time
         rng = np.random.default_rng(6)
         m = build_model(2, seed=6, filters=TINY)
-        x = _stack_batch([rng.standard_normal(7) for _ in range(2)])
+        x = _stack_batch([rng.standard_normal(7) for _ in range(2)], m.dtype)
         _, (caches, gap, length) = _forward_impl(m, x, training=True)
         _, _, xhat, _, mask = caches[2]
         act = (xhat * m.bn_gamma[2] + m.bn_beta[2]) * mask
@@ -326,7 +327,7 @@ class TestEvalPath:
             m.bn_gamma[i] = rng.uniform(0.5, 1.5, c)
             m.bn_beta[i] = 0.3 * rng.standard_normal(c)
             m.conv_b[i] = 0.1 * rng.standard_normal(c)
-        x = _stack_batch([rng.standard_normal(15) for _ in range(5)])
+        x = _stack_batch([rng.standard_normal(15) for _ in range(5)], m.dtype)
         before = model_bytes(m)
         logits, caches = _forward_impl(m, x, training=False)
         assert caches is None
@@ -506,6 +507,13 @@ class TestTrain:
         split = [(np.full(8, 1.7e308 * (-1) ** k), k % 2) for k in range(8)]
         m = build_model(2, seed=35, filters=TINY)
         with pytest.raises(ValueError, match="no epoch reached a finite loss"):
+            train(m, split, TrainConfig(epochs=2, dtype="float64"))
+
+    def test_sample_beyond_float32_raises(self):
+        # finite in float64, inf once cast to float32
+        split = [(np.full(8, 1e39 * (-1) ** k), k % 2) for k in range(8)]
+        m = build_model(2, seed=35, filters=TINY)
+        with pytest.raises(ValueError, match="beyond the float32 range"):
             train(m, split, TrainConfig(epochs=2))
 
     def test_empty_split_rejected(self):
@@ -527,3 +535,57 @@ class TestEvaluate:
         m = build_model(2, seed=38, filters=TINY)
         with pytest.raises(ValueError):
             evaluate(m, [])
+
+    def test_sample_beyond_float32_raises(self):
+        split = [(np.full(8, 1e39), 0), (np.zeros(8), 1)]
+        m = clone_model(build_model(2, seed=38, filters=TINY), np.float32)
+        with pytest.raises(ValueError, match="beyond the float32 range"):
+            evaluate(m, split)
+        assert 0.0 <= evaluate(clone_model(m, np.float64), split) <= 1.0
+
+
+class TestDtype:
+    def test_config_accepts_float32_and_float64_only(self):
+        assert TrainConfig().dtype == "float32"
+        assert TrainConfig(dtype="float64").dtype == "float64"
+        for bad in ("float16", "int32", np.float32):
+            with pytest.raises(ValueError, match="dtype"):
+                TrainConfig(dtype=bad)
+
+    def test_build_model_is_float64(self):
+        m = build_model(2, seed=70, filters=TINY)
+        assert all(t.dtype == np.float64 for _, t in m.tensors())
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_every_array_follows_the_model(self, dtype):
+        rng = np.random.default_rng(71)
+        split = [(rng.standard_normal(12), k % 2) for k in range(6)]
+        config = TrainConfig(epochs=2, batch_size=4, seed=72, dtype=dtype)
+        trained, _ = train(build_model(2, seed=73, filters=TINY), split, config)
+        assert trained.dtype == dtype
+        assert all(t.dtype == dtype for _, t in trained.tensors())
+
+        work = clone_model(trained)
+        _, grads = loss_and_gradients(work, split[:4])
+        assert all(g.dtype == dtype for g in grads.values())
+        state = init_adam_state(work)
+        adam_step(work, grads, state, 1, config)
+        for moments in (state.m, state.v):
+            assert all(a.dtype == dtype for a in moments.values())
+        assert all(t.dtype == dtype for _, t in work.tensors())
+
+        series = [s for s, _ in split]
+        for mode in ("eval", "train"):
+            assert forward(work, series, mode=mode).dtype == dtype
+        swapped = swap_head(trained, 3, seed=74)
+        assert all(t.dtype == dtype for _, t in swapped.tensors())
+
+    def test_clone_model_casts_a_copy(self):
+        m = build_model(2, seed=75, filters=TINY)
+        cast = clone_model(m, np.float32)
+        assert cast.dtype == np.float32
+        assert np.array_equal(cast.conv_w[0], m.conv_w[0].astype(np.float32))
+        same = clone_model(m)
+        assert same.dtype == np.float64 and model_bytes(same) == model_bytes(m)
+        same.conv_w[0][...] = 0.0
+        assert not np.array_equal(m.conv_w[0], same.conv_w[0])

@@ -1,7 +1,7 @@
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -282,10 +282,53 @@ class TestRunMatrix:
             )
 
         huge = Dataset(name="H", train=overflow(8), test=overflow(4), class_count=2)
-        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST)
+        matrix = run_matrix([tiny_datasets(1)[0], huge], replace(FAST, dtype="float64"))
         assert not matrix.cells
         for pair in (("A", "H"), ("H", "A")):
             assert matrix.failures[pair].startswith("ValueError: train: no epoch")
+
+    def test_cell_with_samples_beyond_float32_records_the_cause(self):
+        def beyond(n):
+            return tuple(LabeledSeries(np.full(16, 1e39 * (-1) ** k), k % 2)
+                         for k in range(n))
+
+        huge = Dataset(name="H", train=beyond(8), test=beyond(4), class_count=2)
+        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST)
+        assert not matrix.cells
+        for pair in (("A", "H"), ("H", "A")):
+            assert matrix.failures[pair].startswith("ValueError: ")
+            assert "beyond the float32 range" in matrix.failures[pair]
+
+    def test_dtype_is_part_of_the_provenance(self, tmp_path, monkeypatch):
+        out = tmp_path / "res"
+        datasets = tiny_datasets(3)
+        run_matrix(datasets, replace(FAST, dtype="float64"), out_dir=out)
+        real = harness.run_pair
+        computed = []
+
+        def counting(source, target, config, seed, _cache=None):
+            computed.append((source.name, target.name))
+            return real(source, target, config, seed, _cache=_cache)
+
+        monkeypatch.setattr(harness, "run_pair", counting)
+        matrix = run_matrix(datasets, FAST, out_dir=out)
+        assert len(computed) == 6
+        assert {cell["config"]["dtype"] for cell in matrix.cells.values()} == {"float32"}
+        assert load_matrix_results(out).cells == matrix.cells
+
+        # a record written before the field existed is recomputed once
+        path = out / "cells" / "A__B.json"
+        record = json.loads(path.read_text())
+        del record["config"]["dtype"]
+        path.write_text(json.dumps(record))
+        computed.clear()
+        assert run_matrix(datasets, FAST, out_dir=out).cells == matrix.cells
+        assert computed == [("A", "B")]
+
+        # float64 cells for A and B next to float32 cells with C
+        run_matrix(datasets[:2], replace(FAST, dtype="float64"), out_dir=out)
+        with pytest.raises(DataValidationError, match="disagree on config"):
+            load_matrix_results(out)
 
     def test_multi_seed_cells_average(self, tmp_path):
         datasets = tiny_datasets(2)

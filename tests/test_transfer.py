@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_sine_dataset
 from tstransfer import (
@@ -11,6 +13,7 @@ from tstransfer import (
     TruncatedModelFileError,
     UnknownModelVersionError,
     build_model,
+    clone_model,
     evaluate,
     fine_tune,
     forward,
@@ -148,6 +151,64 @@ class TestSaveLoad:
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.fcn")
 
+    def test_float32_model_round_trips_bit_exact(self, tmp_path):
+        ds = make_sine_dataset("t", (2.0, 6.0), n_train=12, n_test=12, length=24,
+                               seed=37)
+        trained, _ = train(build_model(2, seed=38, filters=TINY), ds.train,
+                           TrainConfig(epochs=3, batch_size=4, seed=39))
+        assert trained.dtype == np.float32
+        path = tmp_path / "m.fcn"
+        save_model(trained, path)
+        back = load_model(path)
+        assert back.dtype == np.float32
+        assert model_bytes(back) == model_bytes(trained)
+        series = [item.series for item in ds.test]
+        assert (forward(back, series).tobytes()
+                == forward(trained, series).tobytes())
+        assert evaluate(back, ds.test) == evaluate(trained, ds.test)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.fcn"
+    save_model(nudge_stats(build_model(2, seed=40, filters=TINY), 41), path)
+    return path
+
+
+@st.composite
+def damaged(draw, blob):
+    """blob with a few bytes replaced, then possibly cut short."""
+    data = bytearray(blob)
+    edits = draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                    st.integers(0, 255)), max_size=6))
+    for position, value in edits:
+        data[position] = value
+    cut = draw(st.none() | st.integers(0, len(blob)))
+    return bytes(data if cut is None else data[:cut])
+
+
+class TestLoadFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_raises_only_model_file_errors(self, model_file, data):
+        path = model_file.with_name("damaged.fcn")
+        path.write_bytes(data.draw(damaged(model_file.read_bytes())))
+        try:
+            model = load_model(path)
+        except ModelFileError:
+            return
+        assert model.dtype == np.float32
+        assert forward(model, [np.zeros(8)]).shape == (1, model.class_count)
+
+    def test_shape_written_as_floats_loads_the_same_model(self, model_file, tmp_path):
+        # JSON 8.0 equals 8, so the declared shape matches; it once reached
+        # reshape and raised TypeError
+        path = tmp_path / "m.fcn"
+        path.write_bytes(model_file.read_bytes())
+        rewrite_header(path, lambda header: header["tensors"][0].update(
+            shape=[float(n) for n in header["tensors"][0]["shape"]]))
+        assert model_bytes(load_model(path)) == model_bytes(load_model(model_file))
+
 
 class TestSwapHead:
     def test_body_preserved_bitwise(self):
@@ -181,6 +242,13 @@ class TestSwapHead:
         a = swap_head(m, 4, seed=17)
         b = swap_head(m, 4, seed=17)
         assert np.array_equal(a.head_w, b.head_w)
+
+    def test_head_follows_the_body_dtype(self):
+        m = nudge_stats(build_model(3, seed=16, filters=TINY), 17)
+        wide = swap_head(m, 4, seed=18)
+        narrow = swap_head(clone_model(m, np.float32), 4, seed=18)
+        assert all(t.dtype == np.float32 for _, t in narrow.tensors())
+        assert np.array_equal(narrow.head_w, wide.head_w.astype(np.float32))
 
     def test_rejects_small_class_count(self):
         with pytest.raises(ValueError):
