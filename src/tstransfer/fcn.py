@@ -10,8 +10,8 @@ length.
 
 The dtype of a model is that of its arrays, and every buffer of the forward
 and backward passes follows it. `build_model` returns float64 weights;
-`train` computes in `TrainConfig.dtype`, float32 by default as in the
-reference Keras models, and returns a model of that dtype.
+`train` computes in TRAIN_DTYPE, float32 as in the reference Keras models,
+and returns a model of that dtype.
 
 Activations are channels-last, (B, T, C), from the stacked batch to the
 pooling. Each convolution lays its input out as B zero-padded segments of
@@ -61,6 +61,7 @@ DEFAULT_FILTERS = (128, 256, 128)
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
+TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
 _EVAL_CHUNK = 16  # largest conv buffer of one chunk: about 11 MB at T=128
 
 
@@ -126,9 +127,7 @@ class FcnModel:
 class TrainConfig:
     """Training hyperparameters; defaults are the standard recipe.
 
-    epochs = 0 is allowed as an explicit no-op boundary. dtype is the
-    precision training computes in, "float32" (the default) or "float64";
-    results are deterministic per dtype.
+    epochs = 0 is allowed as an explicit no-op boundary.
     """
 
     epochs: int = 2000
@@ -137,7 +136,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     seed: int = 0
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -148,8 +146,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("moment decay rates must lie in [0, 1)")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 @dataclass
@@ -596,7 +592,7 @@ def _epoch_batches(perm: np.ndarray, batch_size: int) -> list[np.ndarray]:
 def train(model: FcnModel, train_split, config: TrainConfig):
     """Mini-batch Adam training; returns the lowest-train-loss checkpoint.
 
-    Training works on a copy of the model cast to config.dtype, so the
+    Training works on a copy of the model cast to TRAIN_DTYPE, so the
     returned model has that dtype. Each epoch shuffles the split with the
     seeded generator, walks batches of config.batch_size (the trailing
     batch may be smaller), and applies one Adam step per batch. The epoch
@@ -605,7 +601,7 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     snapshot from the epoch with the strictly lowest train loss (earliest
     epoch on ties), and the history covers every epoch. Raises ValueError
     when no epoch reaches a finite loss, since there is then no checkpoint
-    to return. Fully deterministic for a given seed and dtype. With
+    to return. Fully deterministic for a given seed. With
     epochs = 0 the input model is returned as it is.
     """
     items = list(train_split)
@@ -614,7 +610,7 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     if config.epochs == 0:
         return model, TrainHistory()
 
-    work = clone_model(model, config.dtype)
+    work = clone_model(model, TRAIN_DTYPE)
     rng = np.random.default_rng(config.seed)
     state = init_adam_state(work)
     history = TrainHistory()

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .core import DataValidationError, Dataset
-from .fcn import TrainConfig, build_model, evaluate, train
+from .fcn import TRAIN_DTYPE, TrainConfig, build_model, evaluate, train
 from .similarity import SimilarityMatrix, SourceRanking, rank_sources
 from .textfmt import dump_json_17g, fmt17
 from .transfer import fine_tune
@@ -265,10 +265,10 @@ def run_matrix(
     When out_dir is given, each completed cell is written atomically to
     `cells/<source>__<target>.json`, so an interrupted run resumes for free.
     Every record carries what its results depend on: the seeds, the
-    TrainConfig fields and SHA-256 digests of the source and target
-    contents. An existing cell file is reused only when all of them match
-    this run; otherwise the cell is recomputed and its file overwritten. A
-    failing cell is recorded (and marked on disk) without stopping the run.
+    TrainConfig fields, the dtype training computes in and SHA-256 digests
+    of the source and target contents. An existing cell file is reused only
+    when all of them match this run; otherwise the cell is recomputed and
+    its file overwritten. A failing cell is recorded (and marked on disk) without stopping the run.
     Scratch baselines and pretrained source models are shared across cells
     of one run; training is deterministic, so the results are identical to
     recomputing them per cell. With workers > 1 cells run on a thread pool;
@@ -292,6 +292,7 @@ def run_matrix(
     def provenance(s, t):
         return {
             "config": asdict(config),
+            "train_dtype": TRAIN_DTYPE.name,
             "source_digest": digests[s],
             "target_digest": digests[t],
         }
@@ -352,8 +353,8 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
     """Rebuild a VariationMatrix from a results directory written by run_matrix.
 
     All cell records must come from one run: the same seeds, the same
-    TrainConfig and, per dataset name, the same content digest. A resumed
-    run that changed any of them overwrites only its own cells, so a mix is
+    TrainConfig, the same training dtype and, per dataset name, the same
+    content digest. A resumed run that changed any of them overwrites only its own cells, so a mix is
     refused with a DataValidationError naming two cells that disagree.
     """
     cells_dir = os.path.join(out_dir, "cells")
@@ -396,6 +397,7 @@ def _check_one_run(cells: dict, out_dir) -> None:
     for cell, record in sorted(cells.items()):
         claim("seeds", cell, record.get("seeds"))
         claim("config", cell, record.get("config"))
+        claim("train_dtype", cell, record.get("train_dtype"))
         claim(f"the contents of {cell[0]!r}", cell, record.get("source_digest"))
         claim(f"the contents of {cell[1]!r}", cell, record.get("target_digest"))
 

@@ -1,7 +1,7 @@
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -278,11 +278,11 @@ class TestRunMatrix:
     def test_cell_whose_training_overflows_records_the_cause(self):
         def overflow(n):
             return tuple(
-                LabeledSeries(np.full(16, 1.7e308 * (-1) ** k), k % 2) for k in range(n)
+                LabeledSeries(np.full(16, 3e38 * (-1) ** k), k % 2) for k in range(n)
             )
 
         huge = Dataset(name="H", train=overflow(8), test=overflow(4), class_count=2)
-        matrix = run_matrix([tiny_datasets(1)[0], huge], replace(FAST, dtype="float64"))
+        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST)
         assert not matrix.cells
         for pair in (("A", "H"), ("H", "A")):
             assert matrix.failures[pair].startswith("ValueError: train: no epoch")
@@ -302,7 +302,8 @@ class TestRunMatrix:
     def test_dtype_is_part_of_the_provenance(self, tmp_path, monkeypatch):
         out = tmp_path / "res"
         datasets = tiny_datasets(3)
-        run_matrix(datasets, replace(FAST, dtype="float64"), out_dir=out)
+        matrix = run_matrix(datasets, FAST, out_dir=out)
+        assert {cell["train_dtype"] for cell in matrix.cells.values()} == {"float32"}
         real = harness.run_pair
         computed = []
 
@@ -311,23 +312,28 @@ class TestRunMatrix:
             return real(source, target, config, seed, _cache=_cache)
 
         monkeypatch.setattr(harness, "run_pair", counting)
-        matrix = run_matrix(datasets, FAST, out_dir=out)
-        assert len(computed) == 6
-        assert {cell["config"]["dtype"] for cell in matrix.cells.values()} == {"float32"}
+        path = out / "cells" / "A__B.json"
+
+        def rewrite(edit):
+            record = json.loads(path.read_text())
+            edit(record)
+            path.write_text(json.dumps(record))
+
+        # a cell trained in another dtype, or written before the field
+        # existed, is recomputed once
+        for edit in (lambda r: r.update(train_dtype="float64"),
+                     lambda r: r.pop("train_dtype")):
+            rewrite(edit)
+            computed.clear()
+            assert run_matrix(datasets, FAST, out_dir=out).cells == matrix.cells
+            assert computed == [("A", "B")]
+        computed.clear()
+        run_matrix(datasets, FAST, out_dir=out)
+        assert computed == []
         assert load_matrix_results(out).cells == matrix.cells
 
-        # a record written before the field existed is recomputed once
-        path = out / "cells" / "A__B.json"
-        record = json.loads(path.read_text())
-        del record["config"]["dtype"]
-        path.write_text(json.dumps(record))
-        computed.clear()
-        assert run_matrix(datasets, FAST, out_dir=out).cells == matrix.cells
-        assert computed == [("A", "B")]
-
-        # float64 cells for A and B next to float32 cells with C
-        run_matrix(datasets[:2], replace(FAST, dtype="float64"), out_dir=out)
-        with pytest.raises(DataValidationError, match="disagree on config"):
+        rewrite(lambda r: r.update(train_dtype="float64"))
+        with pytest.raises(DataValidationError, match="disagree on train_dtype"):
             load_matrix_results(out)
 
     def test_multi_seed_cells_average(self, tmp_path):
