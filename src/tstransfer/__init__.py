@@ -31,6 +31,7 @@ from .fcn import (
     evaluate,
     forward,
     init_adam_state,
+    layer_spec,
     loss_and_gradients,
     train,
 )

@@ -48,6 +48,21 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _report_training(model, history, dataset: Dataset, out) -> None:
+    """Print the best epoch and the test accuracy; save the model to out if set."""
+    if history.best_epoch:
+        print(
+            f"best epoch {history.best_epoch}: "
+            f"loss {history.losses[history.best_epoch - 1]:.6f}, "
+            f"train accuracy {history.accuracies[history.best_epoch - 1]:.4f}"
+        )
+    if dataset.test:
+        print(f"test accuracy {evaluate(model, dataset.test):.4f}")
+    if out:
+        save_model(model, out)
+        print(f"saved model to {out}")
+
+
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data, args.name)
     config = _train_config(args)
@@ -59,17 +74,7 @@ def _cmd_train(args) -> int:
         f"trained {dataset.name}: {len(dataset.train)} series, "
         f"{config.epochs} epochs in {elapsed:.1f}s"
     )
-    if history.best_epoch:
-        print(
-            f"best epoch {history.best_epoch}: "
-            f"loss {history.losses[history.best_epoch - 1]:.6f}, "
-            f"train accuracy {history.accuracies[history.best_epoch - 1]:.4f}"
-        )
-    if dataset.test:
-        print(f"test accuracy {evaluate(trained, dataset.test):.4f}")
-    if args.out:
-        save_model(trained, args.out)
-        print(f"saved model to {args.out}")
+    _report_training(trained, history, dataset, args.out)
     return 0
 
 
@@ -85,17 +90,7 @@ def _cmd_transfer(args) -> int:
     print(
         f"fine-tuned on {dataset.name} for {config.epochs} epochs in {elapsed:.1f}s"
     )
-    if history.best_epoch:
-        print(
-            f"best epoch {history.best_epoch}: "
-            f"loss {history.losses[history.best_epoch - 1]:.6f}, "
-            f"train accuracy {history.accuracies[history.best_epoch - 1]:.4f}"
-        )
-    if dataset.test:
-        print(f"test accuracy {evaluate(tuned, dataset.test):.4f}")
-    if args.out:
-        save_model(tuned, args.out)
-        print(f"saved model to {args.out}")
+    _report_training(tuned, history, dataset, args.out)
     return 0
 
 
@@ -123,9 +118,7 @@ def _cmd_matrix(args) -> int:
     datasets = [_load_dataset(args.data, n) for n in names]
     config = _train_config(args)
     seeds = [args.seed + k for k in range(args.seeds)]
-    matrix = run_matrix(
-        datasets, config, seeds=seeds, out_dir=args.out_dir, workers=args.workers
-    )
+    matrix = run_matrix(datasets, config, seeds=seeds, out_dir=args.out_dir)
     csv_path = os.path.join(args.out_dir, "variation_matrix.csv")
     write_variation_csv(matrix, csv_path)
     done = len(matrix.cells)
@@ -207,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--datasets", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
     _add_train_opts(p)
     p.add_argument("--seeds", type=int, default=1, help="seeds per cell (averaged)")
     p.set_defaults(func=_cmd_matrix)

@@ -151,10 +151,13 @@ def _parse_ucr_file(path) -> tuple[list[float], list[np.ndarray]]:
 
     Each non-blank line is `label<delim>v1<delim>...<delim>vT`; the delimiter
     (tab or comma) is detected from the first non-blank line and all records
-    must share one length.
+    must share one length. A file that is not UTF-8 raises UcrParseError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise UcrParseError(f"{path}: not UTF-8 text: {exc}") from None
 
     labels: list[float] = []
     series: list[np.ndarray] = []

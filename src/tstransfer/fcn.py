@@ -46,6 +46,8 @@ __all__ = [
     "AdamState",
     "KERNEL_SIZES",
     "DEFAULT_FILTERS",
+    "TRAINABLE",
+    "layer_spec",
     "build_model",
     "clone_model",
     "forward",
@@ -65,62 +67,57 @@ TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
 _EVAL_CHUNK = 16  # largest conv buffer of one chunk: about 11 MB at T=128
 
 
-@dataclass
-class FcnModel:
+class FcnModel(dict):
     """All weights and batch-norm statistics of the three-block network.
 
-    conv_w[i] has shape (filters[i], in_channels, kernel), biases and the
-    four batch-norm vectors are per-channel, head_w is (filters[-1], C).
+    An ordered mapping from tensor name to array, with the names and shapes
+    of `layer_spec(model.filters, model.class_count)` in the same order.
     All arrays share one floating dtype, float32 or float64, which every
     computation on the model follows. Arrays are mutated in place during
     training; a model under training must stay confined to one thread.
     """
 
-    conv_w: list[np.ndarray]
-    conv_b: list[np.ndarray]
-    bn_gamma: list[np.ndarray]
-    bn_beta: list[np.ndarray]
-    bn_mean: list[np.ndarray]
-    bn_var: list[np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray
-    class_count: int
-
     @property
     def filters(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.conv_w)
+        return tuple(self[f"conv{k}.weight"].shape[0] for k in (1, 2, 3))
+
+    @property
+    def class_count(self) -> int:
+        return self["head.bias"].shape[0]
 
     @property
     def dtype(self) -> np.dtype:
-        return self.conv_w[0].dtype
+        return self["conv1.weight"].dtype
 
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        """All 20 named tensors in serialization order."""
-        out = []
-        for i in range(3):
-            k = i + 1
-            out.append((f"conv{k}.weight", self.conv_w[i]))
-            out.append((f"conv{k}.bias", self.conv_b[i]))
-            out.append((f"bn{k}.gamma", self.bn_gamma[i]))
-            out.append((f"bn{k}.beta", self.bn_beta[i]))
-            out.append((f"bn{k}.running_mean", self.bn_mean[i]))
-            out.append((f"bn{k}.running_var", self.bn_var[i]))
-        out.append(("head.weight", self.head_w))
-        out.append(("head.bias", self.head_b))
-        return out
 
-    def trainable(self) -> list[tuple[str, np.ndarray]]:
-        """The 14 tensors updated by the optimizer (running stats excluded)."""
-        out = []
-        for i in range(3):
-            k = i + 1
-            out.append((f"conv{k}.weight", self.conv_w[i]))
-            out.append((f"conv{k}.bias", self.conv_b[i]))
-            out.append((f"bn{k}.gamma", self.bn_gamma[i]))
-            out.append((f"bn{k}.beta", self.bn_beta[i]))
-        out.append(("head.weight", self.head_w))
-        out.append(("head.bias", self.head_b))
-        return out
+def layer_spec(filters, class_count: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of all 20 tensors, in serialization order.
+
+    conv{k}.weight is (filters[k-1], in_channels, kernel); biases and the
+    four batch-norm vectors are per-channel; head.weight is
+    (filters[-1], class_count).
+    """
+    spec: dict[str, tuple[int, ...]] = {}
+    in_ch = 1
+    for k, (out_ch, kernel) in enumerate(zip(filters, KERNEL_SIZES), start=1):
+        spec[f"conv{k}.weight"] = (out_ch, in_ch, kernel)
+        spec[f"conv{k}.bias"] = (out_ch,)
+        spec[f"bn{k}.gamma"] = (out_ch,)
+        spec[f"bn{k}.beta"] = (out_ch,)
+        spec[f"bn{k}.running_mean"] = (out_ch,)
+        spec[f"bn{k}.running_var"] = (out_ch,)
+        in_ch = out_ch
+    spec["head.weight"] = (filters[-1], class_count)
+    spec["head.bias"] = (class_count,)
+    return spec
+
+
+# The tensors the optimizer updates: all but the running statistics. Names
+# do not depend on the sizes passed to layer_spec.
+TRAINABLE = tuple(
+    name for name in layer_spec(DEFAULT_FILTERS, 2)
+    if not name.endswith(("running_mean", "running_var"))
+)
 
 
 @dataclass(frozen=True)
@@ -189,47 +186,27 @@ def build_model(
     if len(filters) != 3 or any(f < 1 for f in filters):
         raise ValueError(f"filters must be three positive counts, got {filters}")
     rng = np.random.default_rng(seed)
-    conv_w, conv_b, gammas, betas, means, variances = [], [], [], [], [], []
-    in_ch = 1
-    for out_ch, kernel in zip(filters, KERNEL_SIZES):
-        bound = glorot_uniform_bound(in_ch * kernel, out_ch * kernel)
-        conv_w.append(rng.uniform(-bound, bound, size=(out_ch, in_ch, kernel)))
-        conv_b.append(np.zeros(out_ch))
-        gammas.append(np.ones(out_ch))
-        betas.append(np.zeros(out_ch))
-        means.append(np.zeros(out_ch))
-        variances.append(np.ones(out_ch))
-        in_ch = out_ch
-    bound = glorot_uniform_bound(filters[-1], class_count)
-    head_w = rng.uniform(-bound, bound, size=(filters[-1], class_count))
-    head_b = np.zeros(class_count)
-    return FcnModel(
-        conv_w=conv_w,
-        conv_b=conv_b,
-        bn_gamma=gammas,
-        bn_beta=betas,
-        bn_mean=means,
-        bn_var=variances,
-        head_w=head_w,
-        head_b=head_b,
-        class_count=class_count,
-    )
+    model = FcnModel()
+    # Spec order draws the conv1, conv2, conv3 and head weights in turn.
+    for name, shape in layer_spec(filters, class_count).items():
+        if name == "head.weight":
+            bound = glorot_uniform_bound(*shape)
+            model[name] = rng.uniform(-bound, bound, size=shape)
+        elif name.endswith(".weight"):
+            out_ch, in_ch, kernel = shape
+            bound = glorot_uniform_bound(in_ch * kernel, out_ch * kernel)
+            model[name] = rng.uniform(-bound, bound, size=shape)
+        elif name.endswith(("gamma", "running_var")):
+            model[name] = np.ones(shape)
+        else:
+            model[name] = np.zeros(shape)
+    return model
 
 
 def clone_model(model: FcnModel, dtype=None) -> FcnModel:
     """Independent copy of a model, cast to dtype when one is given."""
     dtype = model.dtype if dtype is None else dtype
-    return FcnModel(
-        conv_w=[w.astype(dtype) for w in model.conv_w],
-        conv_b=[b.astype(dtype) for b in model.conv_b],
-        bn_gamma=[g.astype(dtype) for g in model.bn_gamma],
-        bn_beta=[b.astype(dtype) for b in model.bn_beta],
-        bn_mean=[m.astype(dtype) for m in model.bn_mean],
-        bn_var=[v.astype(dtype) for v in model.bn_var],
-        head_w=model.head_w.astype(dtype),
-        head_b=model.head_b.astype(dtype),
-        class_count=model.class_count,
-    )
+    return FcnModel({name: a.astype(dtype) for name, a in model.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +353,11 @@ def _fold_batchnorm(model: FcnModel, i: int) -> tuple[np.ndarray, np.ndarray]:
     BN(W x + b) = (scale W) x + BN(b) per output channel, with
     scale = gamma / sqrt(running_var + eps).
     """
-    gamma, beta = model.bn_gamma[i], model.bn_beta[i]
-    mean, var = model.bn_mean[i], model.bn_var[i]
-    w = model.conv_w[i] * (gamma / np.sqrt(var + BN_EPSILON))[:, None, None]
-    b = batchnorm_forward_eval(model.conv_b[i], gamma, beta, mean, var)
+    k = i + 1
+    gamma, beta = model[f"bn{k}.gamma"], model[f"bn{k}.beta"]
+    mean, var = model[f"bn{k}.running_mean"], model[f"bn{k}.running_var"]
+    w = model[f"conv{k}.weight"] * (gamma / np.sqrt(var + BN_EPSILON))[:, None, None]
+    b = batchnorm_forward_eval(model[f"conv{k}.bias"], gamma, beta, mean, var)
     return w, b
 
 
@@ -421,6 +399,16 @@ def _stack_batch(batch, dtype) -> np.ndarray:
     return x[:, :, None]
 
 
+def _checked_labels(labels, class_count: int) -> np.ndarray:
+    """Labels as an index array; ValueError unless all lie in 0..class_count-1."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise ValueError(
+            f"labels must lie in 0..{class_count - 1}, got {labels.tolist()}"
+        )
+    return labels
+
+
 def _split_pairs(split) -> tuple[list, list[int]]:
     """Accept LabeledSeries or (series, label) pairs uniformly."""
     series, labels = [], []
@@ -449,18 +437,22 @@ def _forward_impl(model: FcnModel, x: np.ndarray, training: bool):
             out, _ = conv1d_forward(out, *_fold_batchnorm(model, i))
             np.maximum(out, 0.0, out=out)
             continue
+        k = i + 1
         conv_in_shape = out.shape
-        out, padded = conv1d_forward(out, model.conv_w[i], model.conv_b[i])
-        out, xhat, inv_std, mu, var = batchnorm_forward_train(
-            out, model.bn_gamma[i], model.bn_beta[i]
+        out, padded = conv1d_forward(
+            out, model[f"conv{k}.weight"], model[f"conv{k}.bias"]
         )
-        model.bn_mean[i] = BN_MOMENTUM * model.bn_mean[i] + (1 - BN_MOMENTUM) * mu
-        model.bn_var[i] = BN_MOMENTUM * model.bn_var[i] + (1 - BN_MOMENTUM) * var
+        out, xhat, inv_std, mu, var = batchnorm_forward_train(
+            out, model[f"bn{k}.gamma"], model[f"bn{k}.beta"]
+        )
+        for stat, batch_stat in (("running_mean", mu), ("running_var", var)):
+            name = f"bn{k}.{stat}"
+            model[name] = BN_MOMENTUM * model[name] + (1 - BN_MOMENTUM) * batch_stat
         mask = out > 0
         out *= mask
         caches.append((conv_in_shape, padded, xhat, inv_std, mask))
     gap = out.mean(axis=1)  # (B, F3)
-    logits = gap @ model.head_w + model.head_b
+    logits = gap @ model["head.weight"] + model["head.bias"]
     if training:
         return logits, (caches, gap, out.shape[1])
     return logits, None
@@ -484,9 +476,10 @@ def loss_and_gradients(model: FcnModel, batch):
 
     The batch is a sequence of (series, label) pairs or LabeledSeries. Runs
     in training mode, so batch statistics are used and running statistics
-    are updated. Gradients are returned as a dict keyed like
-    FcnModel.trainable(). Softmax plus cross-entropy is evaluated through
-    log-sum-exp, so probabilities never underflow the log.
+    are updated. Gradients are returned as a dict keyed by the TRAINABLE
+    tensor names. Labels outside 0..class_count-1 raise ValueError.
+    Softmax plus cross-entropy is evaluated through log-sum-exp, so
+    probabilities never underflow the log.
     """
     loss, grads, _ = _loss_and_gradients_impl(model, batch)
     return loss, grads
@@ -495,11 +488,7 @@ def loss_and_gradients(model: FcnModel, batch):
 def _loss_and_gradients_impl(model: FcnModel, batch):
     """loss_and_gradients plus the batch's correct-prediction count."""
     series, labels = _split_pairs(batch)
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.size and (labels.min() < 0 or labels.max() >= model.class_count):
-        raise ValueError(
-            f"labels must lie in 0..{model.class_count - 1}, got {labels.tolist()}"
-        )
+    labels = _checked_labels(labels, model.class_count)
     x = _stack_batch(series, model.dtype)
     batch_size = x.shape[0]
 
@@ -516,21 +505,23 @@ def _loss_and_gradients_impl(model: FcnModel, batch):
     grads: dict[str, np.ndarray] = {}
     grads["head.weight"] = gap.T @ dlogits
     grads["head.bias"] = dlogits.sum(axis=0)
-    dgap = dlogits @ model.head_w.T
+    dgap = dlogits @ model["head.weight"].T
 
     dout = (dgap / length)[:, None, :]
-    for i in (2, 1, 0):
-        conv_in_shape, padded, xhat, inv_std, mask = caches[i]
+    for k in (3, 2, 1):
+        conv_in_shape, padded, xhat, inv_std, mask = caches[k - 1]
         dout = dout * mask
-        dout, dgamma, dbeta = batchnorm_backward(dout, xhat, inv_std, model.bn_gamma[i])
+        dout, dgamma, dbeta = batchnorm_backward(
+            dout, xhat, inv_std, model[f"bn{k}.gamma"]
+        )
         # The network input needs no gradient.
         dout, dw, db = conv1d_backward(
-            dout, padded, model.conv_w[i], conv_in_shape, input_grad=i > 0
+            dout, padded, model[f"conv{k}.weight"], conv_in_shape, input_grad=k > 1
         )
-        grads[f"bn{i + 1}.gamma"] = dgamma
-        grads[f"bn{i + 1}.beta"] = dbeta
-        grads[f"conv{i + 1}.weight"] = dw
-        grads[f"conv{i + 1}.bias"] = db
+        grads[f"bn{k}.gamma"] = dgamma
+        grads[f"bn{k}.beta"] = dbeta
+        grads[f"conv{k}.weight"] = dw
+        grads[f"conv{k}.bias"] = db
     return loss, grads, correct
 
 
@@ -549,8 +540,8 @@ class AdamState:
 
 def init_adam_state(model: FcnModel) -> AdamState:
     return AdamState(
-        m={name: np.zeros_like(p) for name, p in model.trainable()},
-        v={name: np.zeros_like(p) for name, p in model.trainable()},
+        m={name: np.zeros_like(model[name]) for name in TRAINABLE},
+        v={name: np.zeros_like(model[name]) for name in TRAINABLE},
     )
 
 
@@ -567,7 +558,8 @@ def adam_step(
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, param in model.trainable():
+    for name in TRAINABLE:
+        param = model[name]
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
@@ -651,15 +643,18 @@ def train(model: FcnModel, train_split, config: TrainConfig):
 def evaluate(model: FcnModel, split) -> float:
     """Fraction of samples whose argmax class matches the label (eval mode).
 
-    Argmax ties resolve to the lowest class index. Series go through the
-    network _EVAL_CHUNK at a time, which bounds the convolution buffers.
+    Argmax ties resolve to the lowest class index. Labels outside
+    0..class_count-1 raise ValueError, as in `loss_and_gradients`. Series
+    go through the network _EVAL_CHUNK at a time, which bounds the
+    convolution buffers.
     """
     series, labels = _split_pairs(split)
     if not series:
         raise ValueError("evaluate: empty split")
+    labels = _checked_labels(labels, model.class_count)
     correct = 0
     for start in range(0, len(series), _EVAL_CHUNK):
-        chunk_labels = np.asarray(labels[start : start + _EVAL_CHUNK])
+        chunk_labels = labels[start : start + _EVAL_CHUNK]
         probs = forward(model, series[start : start + _EVAL_CHUNK], mode="eval")
         correct += int((probs.argmax(axis=1) == chunk_labels).sum())
     return correct / len(series)

@@ -16,8 +16,6 @@ import hashlib
 import json
 import os
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -98,46 +96,24 @@ class PairResult:
         }
 
 
-class _RunCache:
-    """Results shared by the cells of one run, each computed once per key.
-
-    Cells may run on several threads; a lock per key, created under a
-    run-wide lock, makes a second caller wait for the first instead of
-    repeating its work.
-    """
-
-    def __init__(self):
-        self._values: dict = {}
-        self._locks: dict = {}
-        self._guard = threading.Lock()
-
-    def get(self, key, compute):
-        with self._guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self._values:
-                self._values[key] = compute()
-            return self._values[key]
-
-
-def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int, cache):
+def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int, cache: dict):
     """Train a model from scratch on a dataset; memoized per (name, seed)."""
-
-    def compute():
+    key = ("scratch", dataset.name, seed)
+    if key not in cache:
         init_seed = derive_seed(seed, dataset.name, "init")
         train_seed = derive_seed(seed, dataset.name, "train")
         model = build_model(dataset.class_count, seed=init_seed)
         trained, history = train(model, dataset.train, replace(config, seed=train_seed))
-        return trained, history, {"init": init_seed, "train": train_seed}
+        cache[key] = trained, history, {"init": init_seed, "train": train_seed}
+    return cache[key]
 
-    return cache.get(("scratch", dataset.name, seed), compute)
 
-
-def _baseline_accuracy(model, target: Dataset, seed: int, cache) -> float:
+def _baseline_accuracy(model, target: Dataset, seed: int, cache: dict) -> float:
     """Test accuracy of the scratch baseline; memoized per (target, seed)."""
-    return cache.get(
-        ("baseline_accuracy", target.name, seed), lambda: evaluate(model, target.test)
-    )
+    key = ("baseline_accuracy", target.name, seed)
+    if key not in cache:
+        cache[key] = evaluate(model, target.test)
+    return cache[key]
 
 
 def run_pair(
@@ -152,7 +128,7 @@ def run_pair(
     """
     if source.name == target.name:
         raise ValueError(f"source and target must differ, got {source.name!r}")
-    cache = _RunCache() if _cache is None else _cache
+    cache = {} if _cache is None else _cache
     baseline_model, baseline_hist, baseline_seeds = _scratch_run(
         target, config, seed, cache
     )
@@ -258,7 +234,6 @@ def run_matrix(
     config: TrainConfig,
     seeds=(0,),
     out_dir=None,
-    workers: int = 1,
 ) -> VariationMatrix:
     """Run every off-diagonal (source, target) cell, with resume and isolation.
 
@@ -267,12 +242,13 @@ def run_matrix(
     Every record carries what its results depend on: the seeds, the
     TrainConfig fields, the dtype training computes in and SHA-256 digests
     of the source and target contents. An existing cell file is reused only
-    when all of them match this run; otherwise the cell is recomputed and
-    its file overwritten. A failing cell is recorded (and marked on disk) without stopping the run.
-    Scratch baselines and pretrained source models are shared across cells
-    of one run; training is deterministic, so the results are identical to
-    recomputing them per cell. With workers > 1 cells run on a thread pool;
-    outputs do not depend on the schedule.
+    when all of them match this run; a cell file that is not a JSON object
+    is stale too. Stale cells are recomputed and their files overwritten.
+    A failing cell is recorded (and marked on disk) without stopping the
+    run. Cells run one after another, since numpy's BLAS already uses every
+    core. Scratch baselines and pretrained source models are shared across
+    cells of one run; training is deterministic, so the results are
+    identical to recomputing them per cell.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -297,56 +273,50 @@ def run_matrix(
             "target_digest": digests[t],
         }
 
-    pairs = [(s, t) for s in names for t in names if s != t]
-    pending = []
-    for s, t in pairs:
-        if out_dir is not None:
-            path = _cell_path(out_dir, s, t)
-            if os.path.isfile(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    record = json.load(fh)
-                expected = {"seeds": seeds, **provenance(s, t)}
-                if all(record.get(k) == v for k, v in expected.items()):
-                    matrix.cells[(s, t)] = record
-                    continue
-        pending.append((s, t))
-
-    cache = _RunCache()
-
-    def compute(pair):
-        s, t = pair
+    cache: dict = {}
+    for s, t in [(s, t) for s in names for t in names if s != t]:
+        path = None if out_dir is None else _cell_path(out_dir, s, t)
+        if path is not None and os.path.isfile(path):
+            try:
+                record = _read_record(path)
+            except DataValidationError:
+                record = {}
+            expected = {"seeds": seeds, **provenance(s, t)}
+            if all(record.get(k) == v for k, v in expected.items()):
+                matrix.cells[(s, t)] = record
+                continue
         try:
             record = _cell_record(
                 by_name[s], by_name[t], config, seeds, cache, provenance(s, t)
             )
-            return pair, record, None
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            return pair, None, f"{type(exc).__name__}: {exc}"
-
-    if workers > 1 and pending:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(compute, pending))
-    else:
-        outcomes = [compute(p) for p in pending]
-
-    for pair, record, error in outcomes:
-        s, t = pair
-        if error is not None:
-            matrix.failures[pair] = error
-            if out_dir is not None:
+            error = f"{type(exc).__name__}: {exc}"
+            matrix.failures[(s, t)] = error
+            if path is not None:
                 dump_json_17g(
-                    {"source": s, "target": t, "error": error},
-                    _cell_path(out_dir, s, t) + ".failed",
+                    {"source": s, "target": t, "error": error}, path + ".failed"
                 )
             continue
-        matrix.cells[pair] = record
-        if out_dir is not None:
-            path = _cell_path(out_dir, s, t)
+        matrix.cells[(s, t)] = record
+        if path is not None:
             dump_json_17g(record, path)
-            failed = path + ".failed"
-            if os.path.exists(failed):
-                os.unlink(failed)
+            if os.path.exists(path + ".failed"):
+                os.unlink(path + ".failed")
     return matrix
+
+
+def _read_record(path) -> dict:
+    """A cell file's JSON object; DataValidationError naming the file otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except ValueError as exc:
+        raise DataValidationError(f"{path}: not a valid cell file: {exc}") from None
+    if not isinstance(record, dict):
+        raise DataValidationError(
+            f"{path}: a cell file holds a JSON object, not {type(record).__name__}"
+        )
+    return record
 
 
 def load_matrix_results(out_dir, names=None) -> VariationMatrix:
@@ -354,8 +324,10 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
 
     All cell records must come from one run: the same seeds, the same
     TrainConfig, the same training dtype and, per dataset name, the same
-    content digest. A resumed run that changed any of them overwrites only its own cells, so a mix is
-    refused with a DataValidationError naming two cells that disagree.
+    content digest. A resumed run that changed any of them overwrites only
+    its own cells, so a mix is refused with a DataValidationError naming two
+    cells that disagree. A cell file that is not a JSON object raises
+    DataValidationError naming the file.
     """
     cells_dir = os.path.join(out_dir, "cells")
     if not os.path.isdir(cells_dir):
@@ -366,14 +338,12 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
     for fname in sorted(os.listdir(cells_dir)):
         path = os.path.join(cells_dir, fname)
         if fname.endswith(".json.failed"):
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
+            record = _read_record(path)
             failures[(record["source"], record["target"])] = record["error"]
             continue
         if not fname.endswith(".json"):
             continue
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
+        record = _read_record(path)
         key = (record["source"], record["target"])
         cells[key] = record
         seen.update(key)

@@ -23,6 +23,7 @@ from .fcn import (
     TrainConfig,
     clone_model,
     glorot_uniform_bound,
+    layer_spec,
     train,
 )
 from .textfmt import atomic_write_bytes
@@ -61,22 +62,6 @@ class TruncatedModelFileError(ModelFileError):
     """The file ends before the declared payload does."""
 
 
-def _expected_shapes(filters, class_count: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    in_ch = 1
-    for i, (out_ch, kernel) in enumerate(zip(filters, KERNEL_SIZES), start=1):
-        shapes[f"conv{i}.weight"] = (out_ch, in_ch, kernel)
-        shapes[f"conv{i}.bias"] = (out_ch,)
-        shapes[f"bn{i}.gamma"] = (out_ch,)
-        shapes[f"bn{i}.beta"] = (out_ch,)
-        shapes[f"bn{i}.running_mean"] = (out_ch,)
-        shapes[f"bn{i}.running_var"] = (out_ch,)
-        in_ch = out_ch
-    shapes["head.weight"] = (filters[-1], class_count)
-    shapes["head.bias"] = (class_count,)
-    return shapes
-
-
 def _declared_tuple(value, what: str, path) -> tuple:
     """A header list as a tuple; any other JSON value is a ModelShapeError."""
     if not isinstance(value, list):
@@ -93,7 +78,7 @@ def save_model(model: FcnModel, path) -> None:
     directory = []
     chunks = []
     offset = 0
-    for name, tensor in model.tensors():
+    for name, tensor in model.items():
         data = np.ascontiguousarray(tensor, dtype=_PAYLOAD_DTYPE).tobytes()
         directory.append(
             {"name": name, "shape": list(tensor.shape), "offset": offset}
@@ -162,7 +147,7 @@ def load_model(path) -> FcnModel:
     if not isinstance(class_count, int) or class_count < 2:
         raise ModelFileError(f"{path}: bad class_count {class_count!r}")
 
-    expected = _expected_shapes(filters, class_count)
+    expected = layer_spec(filters, class_count)
     directory = header.get("tensors")
     if not isinstance(directory, list) or not all(
         isinstance(entry, dict) for entry in directory
@@ -206,17 +191,7 @@ def load_model(path) -> FcnModel:
         if not np.isfinite(arr).all():
             raise ModelFileError(f"{path}: tensor {name} contains non-finite values")
 
-    return FcnModel(
-        conv_w=[arrays[f"conv{i}.weight"] for i in (1, 2, 3)],
-        conv_b=[arrays[f"conv{i}.bias"] for i in (1, 2, 3)],
-        bn_gamma=[arrays[f"bn{i}.gamma"] for i in (1, 2, 3)],
-        bn_beta=[arrays[f"bn{i}.beta"] for i in (1, 2, 3)],
-        bn_mean=[arrays[f"bn{i}.running_mean"] for i in (1, 2, 3)],
-        bn_var=[arrays[f"bn{i}.running_var"] for i in (1, 2, 3)],
-        head_w=arrays["head.weight"],
-        head_b=arrays["head.bias"],
-        class_count=class_count,
-    )
+    return FcnModel(arrays)
 
 
 def swap_head(model: FcnModel, new_class_count: int, seed: int) -> FcnModel:
@@ -233,9 +208,8 @@ def swap_head(model: FcnModel, new_class_count: int, seed: int) -> FcnModel:
     bound = glorot_uniform_bound(feature_dim, new_class_count)
     head_w = rng.uniform(-bound, bound, size=(feature_dim, new_class_count))
     swapped = clone_model(model)
-    swapped.head_w = head_w.astype(model.dtype)
-    swapped.head_b = np.zeros(new_class_count, dtype=model.dtype)
-    swapped.class_count = new_class_count
+    swapped["head.weight"] = head_w.astype(model.dtype)
+    swapped["head.bias"] = np.zeros(new_class_count, dtype=model.dtype)
     return swapped
 
 

@@ -48,6 +48,7 @@ from tstransfer import (
     write_report,
     write_variation_csv,
 )
+from tstransfer.fcn import TRAINABLE
 from tstransfer.harness import accuracy_variation
 from tstransfer.transfer import fine_tune
 
@@ -68,7 +69,7 @@ def criterion(number, description):
 
 
 def model_bytes(model):
-    return b"".join(t.tobytes() for _, t in model.tensors())
+    return b"".join(t.tobytes() for _, t in model.items())
 
 
 def grads_bytes(grads):
@@ -122,7 +123,7 @@ def test_criterion_2_gradient_check():
             )
             errors = gradient_relative_errors(grads, fd, usable)
             worst = max(worst, max(float(e.max()) for e in errors.values()))
-            total_params += sum(p.size for _, p in model.trainable())
+            total_params += sum(model[name].size for name in TRAINABLE)
             total_skipped += skipped
         elapsed = time.perf_counter() - tic
         assert worst < 1e-4, f"max relative error {worst:.3e}"
@@ -211,21 +212,22 @@ def test_criterion_5_head_swap_preservation():
     with criterion(5, "head swap keeps all 18 body tensors bitwise"):
         rng = np.random.default_rng(20240005)
         model = build_model(3, seed=50001)
-        for i in range(3):  # non-trivial running statistics
-            model.bn_mean[i] = rng.standard_normal(model.bn_mean[i].shape)
-            model.bn_var[i] = rng.uniform(0.5, 2.0, model.bn_var[i].shape)
+        for k in (1, 2, 3):  # non-trivial running statistics
+            mean, var = f"bn{k}.running_mean", f"bn{k}.running_var"
+            model[mean] = rng.standard_normal(model[mean].shape)
+            model[var] = rng.uniform(0.5, 2.0, model[var].shape)
         for target_classes in (2, 5, 7):
             swapped = swap_head(model, target_classes, seed=50002)
-            before = dict(model.tensors())
-            after = dict(swapped.tensors())
+            before = dict(model.items())
+            after = dict(swapped.items())
             body = [n for n in before if not n.startswith("head.")]
             assert len(body) == 18
             for name in body:
                 assert after[name].tobytes() == before[name].tobytes()
-            assert swapped.head_w.shape == (128, target_classes)
+            assert swapped["head.weight"].shape == (128, target_classes)
             bound = np.sqrt(6.0 / (128 + target_classes))
-            assert np.abs(swapped.head_w).max() <= bound
-            assert np.array_equal(swapped.head_b, np.zeros(target_classes))
+            assert np.abs(swapped["head.weight"]).max() <= bound
+            assert np.array_equal(swapped["head.bias"], np.zeros(target_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +482,7 @@ def test_criterion_9_serialization_round_trip(e2e):
             original = e2e["runs"][1][key if key == "scratch" else "tuned"]
             loaded = load_model(e2e["paths"][key])
             for (name, a), (name_b, b) in zip(
-                original.tensors(), loaded.tensors()
+                original.items(), loaded.items()
             ):
                 assert name == name_b
                 # round-to-nearest float32, re-read exactly

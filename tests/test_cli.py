@@ -42,6 +42,12 @@ class TestTrainAndTransfer:
                   "--seed", "2", "--out", tuned_path])
         assert rc == 0
         assert tuned_path.exists()
+        out = capsys.readouterr().out
+        assert "fine-tuned on B" in out
+        lines = out.splitlines()
+        assert any(line.startswith("best epoch ") for line in lines)
+        assert any(line.startswith("test accuracy ") for line in lines)
+        assert f"saved model to {tuned_path}" in lines
 
     def test_unknown_dataset_is_reported(self, data_dir, capsys):
         rc = run(["train", "Nope", "--data", data_dir, "--epochs", "1"])

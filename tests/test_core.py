@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tstransfer import (
     DataValidationError,
@@ -13,6 +15,7 @@ from tstransfer import (
     save_ucr_dataset,
     z_normalize,
 )
+from tstransfer.core import _parse_ucr_file
 
 
 class TestZNormalize:
@@ -187,6 +190,12 @@ class TestUcrLoading:
         with pytest.raises(DataValidationError, match="non-finite"):
             load_ucr_dataset(tmp_path / "D_TRAIN", tmp_path / "D_TEST", "D")
 
+    def test_non_utf8_file_names_its_path(self, tmp_path):
+        (tmp_path / "D_TRAIN").write_bytes(b"1,0.5,0.3\n2,0.1,\xff0.2\n")
+        self._write(tmp_path / "D_TEST", [])
+        with pytest.raises(UcrParseError, match="D_TRAIN"):
+            load_ucr_dataset(tmp_path / "D_TRAIN", tmp_path / "D_TEST", "D")
+
     def test_cross_split_length_mismatch_rejected(self, tmp_path):
         self._write(tmp_path / "D_TRAIN", ["1,0.5,0.3", "2,0.1,0.2"])
         self._write(tmp_path / "D_TEST", ["1,0.5,0.3,0.9"])
@@ -239,3 +248,42 @@ class TestUcrLoading:
     def test_find_ucr_pair_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             find_ucr_pair(tmp_path, "Nope")
+
+
+_TOKEN = st.one_of(
+    st.floats().map(repr),  # includes nan, inf and -inf
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", " ", "1e999", "x", "0x1p3", "1_0", "--1"]),
+    st.text(max_size=3),
+)
+_LINE = st.builds(
+    lambda tokens, delim: delim.join(tokens),
+    st.lists(_TOKEN, max_size=6),
+    st.sampled_from([",", "\t", ";", " "]),
+)
+
+
+@st.composite
+def ucr_bytes(draw):
+    """Ragged, blank, non-finite and mixed-delimiter lines, then random bytes."""
+    lines = draw(st.lists(_LINE | st.just(""), max_size=8))
+    return "\n".join(lines).encode("utf-8") + draw(st.binary(max_size=8))
+
+
+class TestUcrParserFuzz:
+    @pytest.fixture(scope="class")
+    def fuzz_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("ucr") / "F_TRAIN"
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=ucr_bytes())
+    def test_input_parses_or_raises_a_data_error(self, fuzz_path, blob):
+        fuzz_path.write_bytes(blob)
+        try:
+            labels, series = _parse_ucr_file(fuzz_path)
+        except (UcrParseError, DataValidationError):
+            return
+        assert len(labels) == len(series)
+        assert len({len(s) for s in series}) <= 1
+        assert all(np.isfinite(s).all() for s in series)
+        assert np.isfinite(labels).all()

@@ -25,6 +25,7 @@ from tstransfer.fcn import (
     BN_EPSILON,
     KERNEL_SIZES,
     TRAIN_DTYPE,
+    TRAINABLE,
     _fold_batchnorm,
     _forward_impl,
     _stack_batch,
@@ -33,13 +34,14 @@ from tstransfer.fcn import (
     conv1d_backward,
     conv1d_forward,
     glorot_uniform_bound,
+    layer_spec,
 )
 
 TINY = (4, 6, 3)
 
 
 def model_bytes(model):
-    return b"".join(t.tobytes() for _, t in model.tensors())
+    return b"".join(t.tobytes() for _, t in model.items())
 
 
 class TestTrainConfig:
@@ -65,39 +67,48 @@ class TestTrainConfig:
 class TestBuildModel:
     def test_shapes(self):
         m = build_model(3, seed=0)
-        assert m.conv_w[0].shape == (128, 1, 8)
-        assert m.conv_w[0].size == 1024
-        assert m.conv_w[1].shape == (256, 128, 5)
-        assert m.conv_w[2].shape == (128, 256, 3)
-        assert m.head_w.shape == (128, 3)
-        assert m.head_b.shape == (3,)
-        assert len(m.tensors()) == 20
-        assert len(m.trainable()) == 14
+        assert m["conv1.weight"].shape == (128, 1, 8)
+        assert m["conv1.weight"].size == 1024
+        assert m["conv2.weight"].shape == (256, 128, 5)
+        assert m["conv3.weight"].shape == (128, 256, 3)
+        assert m["head.weight"].shape == (128, 3)
+        assert m["head.bias"].shape == (3,)
+        assert len(m) == 20
+        assert len(TRAINABLE) == 14
+
+    def test_tensors_follow_layer_spec(self):
+        m = build_model(5, seed=4, filters=TINY)
+        spec = layer_spec(TINY, 5)
+        assert list(m) == list(spec)
+        assert {name: a.shape for name, a in m.items()} == spec
+        assert m.filters == TINY and m.class_count == 5
 
     def test_head_bound_closed_form(self):
         m = build_model(2, seed=1)
         bound = np.sqrt(6.0 / (128 + 2))
         assert abs(bound - 0.21483) < 1e-5
-        assert np.abs(m.head_w).max() <= bound
+        assert np.abs(m["head.weight"]).max() <= bound
         # the draw actually spans the interval
-        assert np.abs(m.head_w).max() > 0.9 * bound
+        assert np.abs(m["head.weight"]).max() > 0.9 * bound
 
     def test_conv_bound_uses_kernel_fans(self):
         m = build_model(2, seed=2)
         bound1 = glorot_uniform_bound(1 * 8, 128 * 8)
-        assert np.abs(m.conv_w[0]).max() <= bound1
+        assert np.abs(m["conv1.weight"]).max() <= bound1
         bound2 = glorot_uniform_bound(128 * 5, 256 * 5)
-        assert np.abs(m.conv_w[1]).max() <= bound2
+        assert np.abs(m["conv2.weight"]).max() <= bound2
 
     def test_initial_statistics(self):
         m = build_model(4, seed=3)
-        for i in range(3):
-            assert np.array_equal(m.conv_b[i], np.zeros_like(m.conv_b[i]))
-            assert np.array_equal(m.bn_gamma[i], np.ones_like(m.bn_gamma[i]))
-            assert np.array_equal(m.bn_beta[i], np.zeros_like(m.bn_beta[i]))
-            assert np.array_equal(m.bn_mean[i], np.zeros_like(m.bn_mean[i]))
-            assert np.array_equal(m.bn_var[i], np.ones_like(m.bn_var[i]))
-        assert np.array_equal(m.head_b, np.zeros(4))
+        for k in (1, 2, 3):
+            bias, gamma, beta = m[f"conv{k}.bias"], m[f"bn{k}.gamma"], m[f"bn{k}.beta"]
+            mean, var = m[f"bn{k}.running_mean"], m[f"bn{k}.running_var"]
+            assert np.array_equal(bias, np.zeros_like(bias))
+            assert np.array_equal(gamma, np.ones_like(gamma))
+            assert np.array_equal(beta, np.zeros_like(beta))
+            assert np.array_equal(mean, np.zeros_like(mean))
+            assert np.array_equal(var, np.ones_like(var))
+        assert np.array_equal(m["head.bias"], np.zeros(4))
 
     def test_same_seed_bitwise_identical(self):
         assert model_bytes(build_model(3, seed=42)) == model_bytes(
@@ -125,7 +136,7 @@ class TestForward:
     def test_zero_head_gives_uniform_rows(self):
         rng = np.random.default_rng(1)
         m = build_model(4, seed=2, filters=TINY)
-        m.head_w[:] = 0.0
+        m["head.weight"][:] = 0.0
         probs = forward(m, [rng.standard_normal(10) for _ in range(3)], mode="eval")
         assert np.array_equal(probs, np.full((3, 4), 0.25))
 
@@ -150,11 +161,12 @@ class TestForward:
         rng = np.random.default_rng(5)
         m = build_model(2, seed=6, filters=TINY)
         batch = [rng.standard_normal(12) for _ in range(4)]
-        before = [v.copy() for v in m.bn_mean]
+        means = ("bn1.running_mean", "bn2.running_mean", "bn3.running_mean")
+        before = [m[name].copy() for name in means]
         forward(m, batch, mode="eval")
-        assert all(np.array_equal(a, b) for a, b in zip(before, m.bn_mean))
+        assert all(np.array_equal(a, m[name]) for a, name in zip(before, means))
         forward(m, batch, mode="train")
-        assert not all(np.array_equal(a, b) for a, b in zip(before, m.bn_mean))
+        assert not all(np.array_equal(a, m[name]) for a, name in zip(before, means))
 
 
 class TestLayerPrimitives:
@@ -184,7 +196,7 @@ class TestLayerPrimitives:
         x = _stack_batch([rng.standard_normal(7) for _ in range(2)], m.dtype)
         _, (caches, gap, length) = _forward_impl(m, x, training=True)
         _, _, xhat, _, mask = caches[2]
-        act = (xhat * m.bn_gamma[2] + m.bn_beta[2]) * mask
+        act = (xhat * m["bn3.gamma"] + m["bn3.beta"]) * mask
         assert length == 7
         assert np.allclose(gap, act.sum(axis=1) / 7, rtol=1e-14, atol=0)
 
@@ -214,9 +226,10 @@ class TestLayerPrimitives:
         factor = 1.0 / np.sqrt(1.0 + BN_EPSILON)
         for i in range(3):
             w, b = _fold_batchnorm(m, i)
-            assert np.array_equal(w, m.conv_w[i] * factor)
-            bound = BN_EPSILON * np.abs(m.conv_w[i]).max()
-            assert np.abs(w - m.conv_w[i]).max() <= bound
+            conv = m[f"conv{i + 1}.weight"]
+            assert np.array_equal(w, conv * factor)
+            bound = BN_EPSILON * np.abs(conv).max()
+            assert np.abs(w - conv).max() <= bound
             assert np.array_equal(b, np.zeros_like(b))
 
 
@@ -310,24 +323,25 @@ class TestConvAgainstReference:
 def reference_eval_logits(m, x):
     """Unfolded eval forward: conv, running-stat batch-norm, ReLU, pooling."""
     out = x
-    for i in range(3):
-        y = reference_conv(out, m.conv_w[i], m.conv_b[i])
-        y = (y - m.bn_mean[i]) / np.sqrt(m.bn_var[i] + BN_EPSILON)
-        out = np.maximum(y * m.bn_gamma[i] + m.bn_beta[i], 0.0)
-    return out.mean(axis=1) @ m.head_w + m.head_b
+    for k in (1, 2, 3):
+        y = reference_conv(out, m[f"conv{k}.weight"], m[f"conv{k}.bias"])
+        mean, var = m[f"bn{k}.running_mean"], m[f"bn{k}.running_var"]
+        y = (y - mean) / np.sqrt(var + BN_EPSILON)
+        out = np.maximum(y * m[f"bn{k}.gamma"] + m[f"bn{k}.beta"], 0.0)
+    return out.mean(axis=1) @ m["head.weight"] + m["head.bias"]
 
 
 class TestEvalPath:
     def test_folded_forward_matches_unfolded(self):
         rng = np.random.default_rng(50)
         m = build_model(3, seed=51, filters=TINY)
-        for i in range(3):
-            c = m.bn_mean[i].shape[0]
-            m.bn_mean[i] = rng.standard_normal(c)
-            m.bn_var[i] = rng.uniform(0.2, 3.0, c)
-            m.bn_gamma[i] = rng.uniform(0.5, 1.5, c)
-            m.bn_beta[i] = 0.3 * rng.standard_normal(c)
-            m.conv_b[i] = 0.1 * rng.standard_normal(c)
+        for k in (1, 2, 3):
+            c = m[f"bn{k}.running_mean"].shape[0]
+            m[f"bn{k}.running_mean"] = rng.standard_normal(c)
+            m[f"bn{k}.running_var"] = rng.uniform(0.2, 3.0, c)
+            m[f"bn{k}.gamma"] = rng.uniform(0.5, 1.5, c)
+            m[f"bn{k}.beta"] = 0.3 * rng.standard_normal(c)
+            m[f"conv{k}.bias"] = 0.1 * rng.standard_normal(c)
         x = _stack_batch([rng.standard_normal(15) for _ in range(5)], m.dtype)
         before = model_bytes(m)
         logits, caches = _forward_impl(m, x, training=False)
@@ -350,7 +364,7 @@ class TestLossAndGradients:
     def test_uniform_model_loss_is_log_c(self):
         rng = np.random.default_rng(10)
         m = build_model(2, seed=11, filters=TINY)
-        m.head_w[:] = 0.0
+        m["head.weight"][:] = 0.0
         batch = [(rng.standard_normal(8), k % 2) for k in range(4)]
         loss, _ = loss_and_gradients(m, batch)
         # probability 1/2 on the true class
@@ -360,8 +374,8 @@ class TestLossAndGradients:
         rng = np.random.default_rng(40)
         m = build_model(2, seed=41, filters=TINY)
         # a huge bias gap drives the true-class probability to exactly 1
-        m.head_w[:] = 0.0
-        m.head_b[:] = np.array([1000.0, 0.0])
+        m["head.weight"][:] = 0.0
+        m["head.bias"][:] = np.array([1000.0, 0.0])
         batch = [(rng.standard_normal(8), 0) for _ in range(3)]
         loss, _ = loss_and_gradients(m, batch)
         assert loss == 0.0
@@ -402,8 +416,8 @@ class TestLossAndGradients:
     def test_gradient_shapes_match_parameters(self):
         m = build_model(3, seed=14, filters=TINY)
         _, grads = loss_and_gradients(m, [(np.linspace(-1, 1, 9), 0)] * 2)
-        for name, param in m.trainable():
-            assert grads[name].shape == param.shape
+        for name in TRAINABLE:
+            assert grads[name].shape == m[name].shape
 
 
 class TestAdam:
@@ -411,7 +425,7 @@ class TestAdam:
         m = build_model(2, seed=15, filters=TINY)
         before = model_bytes(m)
         state = init_adam_state(m)
-        zeros = {name: np.zeros_like(p) for name, p in m.trainable()}
+        zeros = {name: np.zeros_like(m[name]) for name in TRAINABLE}
         for t in range(1, 6):
             adam_step(m, zeros, state, t, TrainConfig())
         assert model_bytes(m) == before
@@ -419,20 +433,20 @@ class TestAdam:
     def test_first_step_magnitude(self):
         m = build_model(2, seed=16, filters=TINY)
         state = init_adam_state(m)
-        grads = {name: np.ones_like(p) for name, p in m.trainable()}
-        before = m.head_b.copy()
+        grads = {name: np.ones_like(m[name]) for name in TRAINABLE}
+        before = m["head.bias"].copy()
         adam_step(m, grads, state, 1, TrainConfig())
-        delta = before - m.head_b
+        delta = before - m["head.bias"]
         assert np.abs(delta - 0.001 / (1.0 + 1e-8)).max() < 1e-12
 
     def test_identical_gradients_identical_updates(self):
         m = build_model(2, seed=17, filters=TINY)
         state = init_adam_state(m)
-        grads = {name: np.full_like(p, 0.37) for name, p in m.trainable()}
-        b_before, g_before = m.head_b.copy(), m.bn_beta[0].copy()
+        grads = {name: np.full_like(m[name], 0.37) for name in TRAINABLE}
+        b_before, g_before = m["head.bias"].copy(), m["bn1.beta"].copy()
         adam_step(m, grads, state, 1, TrainConfig())
         assert np.array_equal(
-            (b_before - m.head_b)[0], (g_before - m.bn_beta[0])[0]
+            (b_before - m["head.bias"])[0], (g_before - m["bn1.beta"])[0]
         )
 
     def test_rejects_bad_step_index(self):
@@ -527,7 +541,7 @@ class TestTrain:
 class TestEvaluate:
     def test_uniform_model_ties_break_to_class_zero(self):
         m = build_model(2, seed=36, filters=TINY)
-        m.head_w[:] = 0.0
+        m["head.weight"][:] = 0.0
         rng = np.random.default_rng(37)
         split = [(rng.standard_normal(8), k % 2) for k in range(10)]
         # every prediction is class 0, so accuracy = fraction labeled 0
@@ -537,6 +551,15 @@ class TestEvaluate:
         m = build_model(2, seed=38, filters=TINY)
         with pytest.raises(ValueError):
             evaluate(m, [])
+
+    @pytest.mark.parametrize("label", [2, 5, -1])
+    def test_out_of_range_label_rejected(self, label):
+        m = build_model(2, seed=39, filters=TINY)
+        split = [(np.zeros(8), 0), (np.ones(8), label)]
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
+            evaluate(m, split)
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
+            loss_and_gradients(m, split)
 
     def test_sample_beyond_float32_raises(self):
         split = [(np.full(8, 1e39), 0), (np.zeros(8), 1)]
@@ -549,7 +572,7 @@ class TestEvaluate:
 class TestDtype:
     def test_build_model_is_float64(self):
         m = build_model(2, seed=70, filters=TINY)
-        assert all(t.dtype == np.float64 for _, t in m.tensors())
+        assert all(t.dtype == np.float64 for _, t in m.items())
 
     def test_train_returns_a_train_dtype_model(self):
         rng = np.random.default_rng(71)
@@ -557,7 +580,7 @@ class TestDtype:
         config = TrainConfig(epochs=2, batch_size=4, seed=72)
         trained, _ = train(build_model(2, seed=73, filters=TINY), split, config)
         assert TRAIN_DTYPE == np.float32
-        assert all(t.dtype == TRAIN_DTYPE for _, t in trained.tensors())
+        assert all(t.dtype == TRAIN_DTYPE for _, t in trained.items())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_array_follows_the_model(self, dtype):
@@ -570,20 +593,22 @@ class TestDtype:
         adam_step(work, grads, state, 1, TrainConfig())
         for moments in (state.m, state.v):
             assert all(a.dtype == dtype for a in moments.values())
-        assert all(t.dtype == dtype for _, t in work.tensors())
+        assert all(t.dtype == dtype for _, t in work.items())
 
         series = [s for s, _ in split]
         for mode in ("eval", "train"):
             assert forward(work, series, mode=mode).dtype == dtype
         swapped = swap_head(work, 3, seed=74)
-        assert all(t.dtype == dtype for _, t in swapped.tensors())
+        assert all(t.dtype == dtype for _, t in swapped.items())
 
     def test_clone_model_casts_a_copy(self):
         m = build_model(2, seed=75, filters=TINY)
         cast = clone_model(m, np.float32)
         assert cast.dtype == np.float32
-        assert np.array_equal(cast.conv_w[0], m.conv_w[0].astype(np.float32))
+        assert np.array_equal(
+            cast["conv1.weight"], m["conv1.weight"].astype(np.float32)
+        )
         same = clone_model(m)
         assert same.dtype == np.float64 and model_bytes(same) == model_bytes(m)
-        same.conv_w[0][...] = 0.0
-        assert not np.array_equal(m.conv_w[0], same.conv_w[0])
+        same["conv1.weight"][...] = 0.0
+        assert not np.array_equal(m["conv1.weight"], same["conv1.weight"])

@@ -1,6 +1,5 @@
 import csv
 import json
-import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -198,15 +197,9 @@ class TestRunMatrix:
         assert not retried.failures
         assert not list((out / "cells").glob("*.failed"))
 
-    def test_workers_give_identical_results(self, tmp_path):
+    def test_run_trains_each_scratch_model_once(self, monkeypatch):
         datasets = tiny_datasets(3)
-        m1 = run_matrix(datasets, FAST, seeds=[0], out_dir=None, workers=1)
-        m2 = run_matrix(datasets, FAST, seeds=[0], out_dir=None, workers=3)
-        assert m1.cells == m2.cells
-
-    def test_workers_train_each_scratch_model_once(self, monkeypatch):
-        datasets = tiny_datasets(3)
-        serial = run_matrix(datasets, FAST, seeds=[0], workers=1)
+        uncounted = run_matrix(datasets, FAST, seeds=[0])
         trainings, evaluations = [], []
         real_train = harness.train
 
@@ -220,16 +213,11 @@ class TestRunMatrix:
 
         monkeypatch.setattr(harness, "train", counting_train)
         monkeypatch.setattr(harness, "evaluate", counting_evaluate)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            parallel = run_matrix(datasets, FAST, seeds=[0], workers=2)
-        finally:
-            sys.setswitchinterval(interval)
+        counted = run_matrix(datasets, FAST, seeds=[0])
         # one scratch model per dataset; 6 transfer plus 3 baseline evaluations
         assert len(trainings) == 3
         assert len(evaluations) == 6 + 3
-        assert parallel.cells == serial.cells
+        assert counted.cells == uncounted.cells
 
     def test_resume_recomputes_cells_of_another_run(self, tmp_path):
         datasets = tiny_datasets(2)
@@ -257,6 +245,37 @@ class TestRunMatrix:
         matrix = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
         loaded = load_matrix_results(out)
         assert loaded.cells == matrix.cells
+
+    @pytest.mark.parametrize("content", ["[]", '{"source": "A", "tar'])
+    def test_resume_recomputes_a_malformed_cell_file(
+        self, tmp_path, monkeypatch, content
+    ):
+        datasets = tiny_datasets(2)
+        out = tmp_path / "res"
+        fresh = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
+        path = out / "cells" / "A__B.json"
+        written = path.read_bytes()
+        path.write_text(content)
+        pairs = []
+        real = harness.run_pair
+
+        def counting_run_pair(source, target, *args, **kwargs):
+            pairs.append((source.name, target.name))
+            return real(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_pair", counting_run_pair)
+        resumed = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
+        assert pairs == [("A", "B")]
+        assert resumed.cells == fresh.cells
+        assert path.read_bytes() == written
+
+    @pytest.mark.parametrize("content", ["[]", '{"source": "A", "tar'])
+    def test_load_rejects_a_malformed_cell_file(self, tmp_path, content):
+        out = tmp_path / "bad"
+        run_matrix(tiny_datasets(2), FAST, seeds=[0], out_dir=out)
+        (out / "cells" / "A__B.json").write_text(content)
+        with pytest.raises(DataValidationError, match="A__B.json"):
+            load_matrix_results(out)
 
     def test_load_refuses_cells_of_different_runs(self, tmp_path):
         out = tmp_path / "mixed"

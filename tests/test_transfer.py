@@ -28,15 +28,16 @@ TINY = (4, 6, 3)
 
 
 def model_bytes(model):
-    return b"".join(t.tobytes() for _, t in model.tensors())
+    return b"".join(t.tobytes() for _, t in model.items())
 
 
 def nudge_stats(model, seed):
     """Give running statistics non-trivial values so round-trips are honest."""
     rng = np.random.default_rng(seed)
-    for i in range(3):
-        model.bn_mean[i] = rng.standard_normal(model.bn_mean[i].shape)
-        model.bn_var[i] = rng.uniform(0.5, 2.0, model.bn_var[i].shape)
+    for k in (1, 2, 3):
+        mean, var = f"bn{k}.running_mean", f"bn{k}.running_var"
+        model[mean] = rng.standard_normal(model[mean].shape)
+        model[var] = rng.uniform(0.5, 2.0, model[var].shape)
     return model
 
 
@@ -65,7 +66,7 @@ class TestSaveLoad:
         save_model(m, path)
         back = load_model(path)
         assert back.class_count == 3
-        for (name, orig), (name2, got) in zip(m.tensors(), back.tensors()):
+        for (name, orig), (name2, got) in zip(m.items(), back.items()):
             assert name == name2
             assert np.array_equal(got, orig.astype(np.float32).astype(np.float64))
 
@@ -214,8 +215,8 @@ class TestSwapHead:
     def test_body_preserved_bitwise(self):
         m = nudge_stats(build_model(3, seed=9), 10)
         swapped = swap_head(m, 5, seed=11)
-        body = dict(m.tensors())
-        new_body = dict(swapped.tensors())
+        body = dict(m.items())
+        new_body = dict(swapped.items())
         for name in body:
             if name.startswith("head."):
                 continue
@@ -225,30 +226,32 @@ class TestSwapHead:
     def test_head_shape_and_bound(self):
         m = build_model(3, seed=12)
         swapped = swap_head(m, 5, seed=13)
-        assert swapped.head_w.shape == (128, 5)
+        assert swapped["head.weight"].shape == (128, 5)
         assert swapped.class_count == 5
         bound = np.sqrt(6.0 / (128 + 5))
         assert abs(bound - 0.21240) < 1e-5
-        assert np.abs(swapped.head_w).max() <= bound
-        assert np.array_equal(swapped.head_b, np.zeros(5))
+        assert np.abs(swapped["head.weight"]).max() <= bound
+        assert np.array_equal(swapped["head.bias"], np.zeros(5))
 
     def test_same_class_count_still_rerandomizes(self):
         m = build_model(3, seed=14)
         swapped = swap_head(m, 3, seed=15)
-        assert not np.array_equal(swapped.head_w, m.head_w)
+        assert not np.array_equal(swapped["head.weight"], m["head.weight"])
 
     def test_deterministic(self):
         m = build_model(3, seed=16)
         a = swap_head(m, 4, seed=17)
         b = swap_head(m, 4, seed=17)
-        assert np.array_equal(a.head_w, b.head_w)
+        assert np.array_equal(a["head.weight"], b["head.weight"])
 
     def test_head_follows_the_body_dtype(self):
         m = nudge_stats(build_model(3, seed=16, filters=TINY), 17)
         wide = swap_head(m, 4, seed=18)
         narrow = swap_head(clone_model(m, np.float32), 4, seed=18)
-        assert all(t.dtype == np.float32 for _, t in narrow.tensors())
-        assert np.array_equal(narrow.head_w, wide.head_w.astype(np.float32))
+        assert all(t.dtype == np.float32 for _, t in narrow.items())
+        assert np.array_equal(
+            narrow["head.weight"], wide["head.weight"].astype(np.float32)
+        )
 
     def test_rejects_small_class_count(self):
         with pytest.raises(ValueError):
@@ -273,7 +276,7 @@ class TestFineTune:
             pre, ds, TrainConfig(epochs=2, batch_size=4, seed=26), seed=27
         )
         assert tuned.filters == pre.filters
-        assert tuned.head_w.shape == (TINY[-1], 2)
+        assert tuned["head.weight"].shape == (TINY[-1], 2)
 
     def test_variable_length_transfer_runs(self):
         source = make_sine_dataset("s", (2.0, 5.0), n_train=8, n_test=0, length=32,
