@@ -151,7 +151,10 @@ def _parse_ucr_file(path) -> tuple[list[float], list[np.ndarray]]:
 
     Each non-blank line is `label<delim>v1<delim>...<delim>vT`; the delimiter
     (tab or comma) is detected from the first non-blank line and all records
-    must share one length. A file that is not UTF-8 raises UcrParseError.
+    must share one length. Numbers are plain ASCII decimals: a file that is
+    not UTF-8, or a line with a non-ASCII character or a digit-group
+    underscore that Python's `float` would accept ("1_000", Arabic-Indic
+    digits), raises UcrParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -169,6 +172,11 @@ def _parse_ucr_file(path) -> tuple[list[float], list[np.ndarray]]:
             continue
         if delim is None:
             delim = _detect_delimiter(line)
+        if "_" in line or not line.isascii():
+            raise UcrParseError(
+                f"{path}:{lineno}: values must be ASCII decimals without '_', "
+                f"got {raw!r}"
+            )
         tokens = line.split(delim)
         if len(tokens) < 2 or any(t == "" for t in tokens):
             raise UcrParseError(

@@ -24,9 +24,13 @@ whose K column blocks are added with a shift of k rows. The backward pass
 keeps only the padded input: the weight gradient is K GEMMs over its
 shifted views, and the input gradient is a transposed convolution, the same
 kernel applied to the padded output gradient and the flipped weights.
-Evaluation folds each block's running-stat batch-norm into the
-convolution's weights and bias. Weights keep the (Cout, Cin, K) layout in
-memory and on disk.
+Each block's cached activations are released as soon as the backward pass
+has used them. Evaluation folds each block's running-stat batch-norm into
+the convolution's weights and bias once per `evaluate` call, copied into
+the layout `_correlate` multiplies, and runs the series in chunks of about
+_EVAL_STEPS time steps of one length, so its buffers do not grow with the
+series length. Model weights keep the (Cout, Cin, K) layout in memory and
+on disk.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
 TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
-_EVAL_CHUNK = 16  # largest conv buffer of one chunk: about 11 MB at T=128
+_EVAL_STEPS = 2048  # time steps per evaluation chunk: 16 series at T=128
 
 
 class FcnModel(dict):
@@ -260,6 +264,20 @@ def _correlate(padded: np.ndarray, wk: np.ndarray) -> np.ndarray:
     return out
 
 
+def _correlate_layout(w: np.ndarray) -> np.ndarray:
+    """w (Cout, Cin, K) as a view of a copy laid out as `_correlate` reads it.
+
+    `conv1d_forward` passes w.transpose(2, 1, 0) to `_correlate`, whose GEMM
+    operand is then a (K*Cin, Cout) or a (Cin, K*Cout) matrix. On the
+    model's own (Cout, Cin, K) arrays that operand is a copy made on every
+    call; on this view it is a free reshape of the same values.
+    """
+    out_ch, in_ch, _ = w.shape
+    if in_ch <= out_ch:
+        return np.ascontiguousarray(w.transpose(2, 1, 0)).transpose(2, 1, 0)
+    return np.ascontiguousarray(w.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
 def _unsegment(rows: np.ndarray, batch: int, length: int, kernel: int) -> np.ndarray:
     """(B, T, C) view of per-segment rows, dropping the K-1 straddling rows."""
     return rows.reshape(batch, length + kernel - 1, -1)[:, :length]
@@ -430,14 +448,11 @@ def _forward_impl(model: FcnModel, x: np.ndarray, training: bool):
     needs and is None in eval mode. Eval mode folds each block's running-stat
     batch-norm into its convolution, so a block is one conv and one ReLU.
     """
-    caches = [] if training else None
+    if not training:
+        return _eval_logits(model, x, _folded_blocks(model)), None
+    caches = []
     out = x
-    for i in range(3):
-        if not training:
-            out, _ = conv1d_forward(out, *_fold_batchnorm(model, i))
-            np.maximum(out, 0.0, out=out)
-            continue
-        k = i + 1
+    for k in (1, 2, 3):
         conv_in_shape = out.shape
         out, padded = conv1d_forward(
             out, model[f"conv{k}.weight"], model[f"conv{k}.bias"]
@@ -453,9 +468,21 @@ def _forward_impl(model: FcnModel, x: np.ndarray, training: bool):
         caches.append((conv_in_shape, padded, xhat, inv_std, mask))
     gap = out.mean(axis=1)  # (B, F3)
     logits = gap @ model["head.weight"] + model["head.bias"]
-    if training:
-        return logits, (caches, gap, out.shape[1])
-    return logits, None
+    return logits, (caches, gap, out.shape[1])
+
+
+def _folded_blocks(model: FcnModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    folded = [_fold_batchnorm(model, i) for i in range(3)]
+    return [(_correlate_layout(w), b) for w, b in folded]
+
+
+def _eval_logits(model: FcnModel, x: np.ndarray, folded) -> np.ndarray:
+    """Eval-mode logits of x (B, T, 1) from `_folded_blocks(model)`."""
+    out = x
+    for w, b in folded:
+        out, _ = conv1d_forward(out, w, b)
+        np.maximum(out, 0.0, out=out)
+    return out.mean(axis=1) @ model["head.weight"] + model["head.bias"]
 
 
 def forward(model: FcnModel, batch, mode: str = "eval") -> np.ndarray:
@@ -507,13 +534,15 @@ def _loss_and_gradients_impl(model: FcnModel, batch):
     grads["head.bias"] = dlogits.sum(axis=0)
     dgap = dlogits @ model["head.weight"].T
 
+    # Each block's cache is released once the backward pass has used it.
     dout = (dgap / length)[:, None, :]
     for k in (3, 2, 1):
-        conv_in_shape, padded, xhat, inv_std, mask = caches[k - 1]
+        conv_in_shape, padded, xhat, inv_std, mask = caches.pop()
         dout = dout * mask
         dout, dgamma, dbeta = batchnorm_backward(
             dout, xhat, inv_std, model[f"bn{k}.gamma"]
         )
+        del xhat, mask
         # The network input needs no gradient.
         dout, dw, db = conv1d_backward(
             dout, padded, model[f"conv{k}.weight"], conv_in_shape, input_grad=k > 1
@@ -643,18 +672,39 @@ def train(model: FcnModel, train_split, config: TrainConfig):
 def evaluate(model: FcnModel, split) -> float:
     """Fraction of samples whose argmax class matches the label (eval mode).
 
-    Argmax ties resolve to the lowest class index. Labels outside
-    0..class_count-1 raise ValueError, as in `loss_and_gradients`. Series
-    go through the network _EVAL_CHUNK at a time, which bounds the
-    convolution buffers.
+    The argmax is taken on the probabilities `forward` returns, and ties
+    resolve to the lowest class index. Labels outside 0..class_count-1
+    raise ValueError, as in `loss_and_gradients`. The split may mix series
+    lengths. Batch-norm is folded into the convolutions once per call, and
+    the series go through the network in the chunks of `_eval_chunks`, so
+    the convolution buffers stay near their size at _EVAL_STEPS time steps
+    whatever the series length.
     """
     series, labels = _split_pairs(split)
     if not series:
         raise ValueError("evaluate: empty split")
     labels = _checked_labels(labels, model.class_count)
+    folded = _folded_blocks(model)
     correct = 0
-    for start in range(0, len(series), _EVAL_CHUNK):
-        chunk_labels = labels[start : start + _EVAL_CHUNK]
-        probs = forward(model, series[start : start + _EVAL_CHUNK], mode="eval")
-        correct += int((probs.argmax(axis=1) == chunk_labels).sum())
+    for idx in _eval_chunks([len(s) for s in series]):
+        x = _stack_batch([series[i] for i in idx], model.dtype)
+        probs = np.exp(_log_softmax(_eval_logits(model, x, folded)))
+        correct += int((probs.argmax(axis=1) == labels[idx]).sum())
     return correct / len(series)
+
+
+def _eval_chunks(lengths) -> list[np.ndarray]:
+    """Index arrays of the evaluation chunks of series of these lengths.
+
+    Series are grouped by length, in increasing order. A group of n series
+    of length T is split into ceil(n*T / _EVAL_STEPS) chunks, at least one
+    and at most n, whose sizes differ by at most one.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, length in enumerate(lengths):
+        groups.setdefault(length, []).append(i)
+    chunks = []
+    for length, idx in sorted(groups.items()):
+        count = -(-len(idx) * length // _EVAL_STEPS)
+        chunks.extend(np.array_split(idx, min(max(count, 1), len(idx))))
+    return chunks

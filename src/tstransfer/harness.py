@@ -305,8 +305,11 @@ def run_matrix(
     return matrix
 
 
-def _read_record(path) -> dict:
-    """A cell file's JSON object; DataValidationError naming the file otherwise."""
+def _read_record(path, keys=("source", "target")) -> dict:
+    """A cell file's JSON object holding `keys`.
+
+    DataValidationError naming the file otherwise.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
@@ -316,6 +319,9 @@ def _read_record(path) -> dict:
         raise DataValidationError(
             f"{path}: a cell file holds a JSON object, not {type(record).__name__}"
         )
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise DataValidationError(f"{path}: cell file lacks the keys {missing}")
     return record
 
 
@@ -326,7 +332,8 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
     TrainConfig, the same training dtype and, per dataset name, the same
     content digest. A resumed run that changed any of them overwrites only
     its own cells, so a mix is refused with a DataValidationError naming two
-    cells that disagree. A cell file that is not a JSON object raises
+    cells that disagree. A cell file that is not a JSON object, or lacks its
+    `source`, `target` or (for a failure) `error` key, raises
     DataValidationError naming the file.
     """
     cells_dir = os.path.join(out_dir, "cells")
@@ -338,7 +345,7 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
     for fname in sorted(os.listdir(cells_dir)):
         path = os.path.join(cells_dir, fname)
         if fname.endswith(".json.failed"):
-            record = _read_record(path)
+            record = _read_record(path, ("source", "target", "error"))
             failures[(record["source"], record["target"])] = record["error"]
             continue
         if not fname.endswith(".json"):

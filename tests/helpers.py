@@ -8,6 +8,8 @@ gradients are checked against central finite differences of the loss.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -229,6 +231,16 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
         fd[name] = out.reshape(param.shape)
         usable[name] = ok.reshape(param.shape)
     return fd, usable, skipped
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc counts while fn(*args, **kwargs) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def gradient_relative_errors(analytic, numeric, usable=None, floor: float = 1e-4):

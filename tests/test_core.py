@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,14 @@ class TestUcrLoading:
         with pytest.raises(UcrParseError, match=":1"):
             load_ucr_dataset(tmp_path / "D_TRAIN", tmp_path / "D_TEST", "D")
 
+    @pytest.mark.parametrize("line", ["1,1_000,2", "1_0,0.5,2", "1,\u0661,2"])
+    def test_python_only_number_syntax_rejected(self, tmp_path, line):
+        # float() reads "1_000" as 1000 and "\u0661" (Arabic-Indic one) as 1
+        self._write(tmp_path / "D_TRAIN", ["1,0.5,0.3", line])
+        self._write(tmp_path / "D_TEST", [])
+        with pytest.raises(UcrParseError, match="TRAIN:2"):
+            load_ucr_dataset(tmp_path / "D_TRAIN", tmp_path / "D_TEST", "D")
+
     def test_test_only_label_rejected(self, tmp_path):
         self._write(tmp_path / "D_TRAIN", ["1,0.5,0.3", "2,0.1,0.2"])
         self._write(tmp_path / "D_TEST", ["3,0.0,0.0"])
@@ -263,11 +273,33 @@ _LINE = st.builds(
 )
 
 
+# A plain decimal as UCR files write it; float() accepts more than this.
+_DECIMAL = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*")
+
+
 @st.composite
 def ucr_bytes(draw):
     """Ragged, blank, non-finite and mixed-delimiter lines, then random bytes."""
     lines = draw(st.lists(_LINE | st.just(""), max_size=8))
     return "\n".join(lines).encode("utf-8") + draw(st.binary(max_size=8))
+
+
+# Tokens float() reads, some of them outside the plain decimal syntax.
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from([" 2", "1.", ".5", "+1e3", "1_0", "\u0661", "\u00a01"]),
+)
+
+
+@st.composite
+def ucr_records(draw):
+    """Rectangular records of number-like tokens under one delimiter."""
+    width = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(_NUMBER, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    delim = draw(st.sampled_from([",", "\t"]))
+    return "\n".join(delim.join(row) for row in rows).encode("utf-8")
 
 
 class TestUcrParserFuzz:
@@ -276,7 +308,7 @@ class TestUcrParserFuzz:
         return tmp_path_factory.mktemp("ucr") / "F_TRAIN"
 
     @settings(max_examples=300, deadline=None)
-    @given(blob=ucr_bytes())
+    @given(blob=ucr_bytes() | ucr_records())
     def test_input_parses_or_raises_a_data_error(self, fuzz_path, blob):
         fuzz_path.write_bytes(blob)
         try:
@@ -287,3 +319,13 @@ class TestUcrParserFuzz:
         assert len({len(s) for s in series}) <= 1
         assert all(np.isfinite(s).all() for s in series)
         assert np.isfinite(labels).all()
+        # Accepted records are lines of plain decimals, read value for value.
+        records = [r.strip() for r in fuzz_path.read_text("utf-8").splitlines()]
+        records = [r for r in records if r]
+        delim = "\t" if records and "\t" in records[0] else ","
+        rows = [r.split(delim) for r in records]
+        assert all(_DECIMAL.fullmatch(token) for row in rows for token in row)
+        assert labels == [float(row[0]) for row in rows]
+        assert [s.tolist() for s in series] == [
+            [float(token) for token in row[1:]] for row in rows
+        ]

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from helpers import (
     finite_difference_gradients,
     gradient_relative_errors,
     make_constant_dataset,
+    traced_peak,
 )
 from tstransfer import (
     TrainConfig,
@@ -21,11 +20,13 @@ from tstransfer import (
     train,
 )
 from tstransfer.fcn import (
-    _EVAL_CHUNK,
+    _EVAL_STEPS,
     BN_EPSILON,
     KERNEL_SIZES,
     TRAIN_DTYPE,
     TRAINABLE,
+    _correlate_layout,
+    _eval_chunks,
     _fold_batchnorm,
     _forward_impl,
     _stack_batch,
@@ -349,15 +350,70 @@ class TestEvalPath:
         assert model_bytes(m) == before
         assert max_rel(logits, reference_eval_logits(m, x)) <= 1e-12
 
+    @pytest.mark.parametrize("in_ch, out_ch", [(1, 4), (6, 6), (6, 3)])
+    def test_correlate_layout_is_the_same_convolution(self, in_ch, out_ch):
+        rng = np.random.default_rng(58)
+        x = rng.standard_normal((3, 10, in_ch))
+        w = rng.standard_normal((out_ch, in_ch, 5))
+        b = rng.standard_normal(out_ch)
+        laid = _correlate_layout(w)
+        assert laid.shape == w.shape and np.array_equal(laid, w)
+        assert np.array_equal(conv1d_forward(x, laid, b)[0], conv1d_forward(x, w, b)[0])
+
     def test_chunked_evaluate_matches_single_series(self):
         rng = np.random.default_rng(52)
         m = build_model(3, seed=53, filters=TINY)
-        series = [rng.standard_normal(11) for _ in range(2 * _EVAL_CHUNK + 1)]
+        series = [rng.standard_normal(11) for _ in range(2 * (_EVAL_STEPS // 11) + 1)]
         alone = [int(forward(m, [s]).argmax()) for s in series]
         assert len(set(alone)) > 1
         assert evaluate(m, list(zip(series, alone))) == 1.0
         shifted = [(p + 1) % 3 for p in alone]
         assert evaluate(m, list(zip(series, shifted))) == 0.0
+
+    def test_mixed_lengths_evaluate_as_their_groups(self):
+        rng = np.random.default_rng(54)
+        m = build_model(3, seed=55, filters=TINY)
+        # 2 x 2500 and 9 x 300 each span two chunks
+        counts = {7: 5, 11: 40, 300: 9, 2500: 2}
+        split = [
+            (rng.standard_normal(length), int(rng.integers(0, 3)))
+            for length, n in counts.items() for _ in range(n)
+        ]
+        split = [split[i] for i in rng.permutation(len(split))]
+        correct = 0
+        for length, n in counts.items():
+            group = [pair for pair in split if len(pair[0]) == length]
+            correct += round(evaluate(m, group) * n)
+        assert 0 < correct < len(split)
+        assert evaluate(m, split) == correct / len(split)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 33, 512])
+    @pytest.mark.parametrize("length", [1, 11, 128, 320, 600, 1000, 2047, 2709])
+    def test_chunks_split_evenly_within_the_budget(self, n, length):
+        chunks = _eval_chunks([length] * n)
+        sizes = [len(c) for c in chunks]
+        assert np.array_equal(np.concatenate(chunks), np.arange(n))
+        assert len(chunks) == min(n, -(-n * length // _EVAL_STEPS))
+        assert max(sizes) - min(sizes) <= 1
+        # a chunk exceeds the budget by less than one series
+        assert (max(sizes) - 1) * length < _EVAL_STEPS
+
+    def test_chunks_group_lengths(self):
+        sizes = [len(c) for c in _eval_chunks([320] * 16 + [128] * 512)]
+        assert sizes == [16] * 32 + [6, 5, 5]
+        chunks = _eval_chunks([5, 9, 5, 0, 9, 5])
+        assert [c.tolist() for c in chunks] == [[3], [0, 2, 5], [1, 4]]
+
+    def test_memory_does_not_grow_with_length(self):
+        rng = np.random.default_rng(56)
+        m = clone_model(build_model(3, seed=57), TRAIN_DTYPE)
+        evaluate(m, [(rng.standard_normal(16), 0)] * 2)  # first-call allocations
+
+        def peak(length):
+            split = [(rng.standard_normal(length), k % 3) for k in range(32)]
+            return traced_peak(evaluate, m, split)
+
+        assert peak(1024) <= 1.25 * peak(128)
 
 
 class TestLossAndGradients:
@@ -405,13 +461,7 @@ class TestLossAndGradients:
         rng = np.random.default_rng(40)
         m = build_model(3, seed=41)
         batch = [(rng.standard_normal(128), k % 3) for k in range(16)]
-        tracemalloc.start()
-        try:
-            loss_and_gradients(m, batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert traced_peak(loss_and_gradients, m, batch) < 32 * 2**20
 
     def test_gradient_shapes_match_parameters(self):
         m = build_model(3, seed=14, filters=TINY)

@@ -277,6 +277,23 @@ class TestRunMatrix:
         with pytest.raises(DataValidationError, match="A__B.json"):
             load_matrix_results(out)
 
+    @pytest.mark.parametrize(
+        "fname, key",
+        [("A__B.json", "source"), ("A__B.json", "target"),
+         ("A__B.json.failed", "error")],
+    )
+    def test_load_names_a_cell_file_without_a_key(self, tmp_path, fname, key):
+        out = tmp_path / "keys"
+        run_matrix(tiny_datasets(2), FAST, seeds=[0], out_dir=out)
+        path = out / "cells" / fname
+        record = {"source": "A", "target": "B", "error": "ValueError: x"}
+        if path.exists():
+            record = json.loads(path.read_text())
+        del record[key]
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataValidationError, match=rf"{fname}: .*'{key}'"):
+            load_matrix_results(out)
+
     def test_load_refuses_cells_of_different_runs(self, tmp_path):
         out = tmp_path / "mixed"
         run_matrix(tiny_datasets(3), TrainConfig(epochs=1, batch_size=8), out_dir=out)
