@@ -32,11 +32,12 @@ def _load_dataset(data_dir: str, name: str) -> Dataset:
     return load_ucr_dataset(train_path, test_path, name)
 
 
-def _add_train_opts(parser, epochs_default: int = 2000):
-    parser.add_argument("--epochs", type=int, default=epochs_default)
-    parser.add_argument("--batch", type=int, default=16)
-    parser.add_argument("--lr", type=float, default=0.001)
-    parser.add_argument("--seed", type=int, default=0)
+def _add_train_opts(parser):
+    defaults = TrainConfig()
+    parser.add_argument("--epochs", type=int, default=defaults.epochs)
+    parser.add_argument("--batch", type=int, default=defaults.batch_size)
+    parser.add_argument("--lr", type=float, default=defaults.learning_rate)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def _train_config(args) -> TrainConfig:

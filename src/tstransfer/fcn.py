@@ -25,12 +25,12 @@ keeps only the padded input: the weight gradient is K GEMMs over its
 shifted views, and the input gradient is a transposed convolution, the same
 kernel applied to the padded output gradient and the flipped weights.
 Each block's cached activations are released as soon as the backward pass
-has used them. Evaluation folds each block's running-stat batch-norm into
-the convolution's weights and bias once per `evaluate` call, copied into
-the layout `_correlate` multiplies, and runs the series in chunks of about
-_EVAL_STEPS time steps of one length, so its buffers do not grow with the
-series length. Model weights keep the (Cout, Cin, K) layout in memory and
-on disk.
+has used them. Inference, `forward` and so `evaluate`, folds each block's
+running-stat batch-norm into the convolution's weights and bias once per
+call, copied into the layout `_correlate` multiplies, and runs the series
+in chunks of about _EVAL_STEPS time steps of one length, so its buffers do
+not grow with the series length. Model weights keep the (Cout, Cin, K)
+layout in memory and on disk.
 """
 
 from __future__ import annotations
@@ -396,15 +396,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _stack_batch(batch, dtype) -> np.ndarray:
-    """(B, T, 1) array of the batch's series in dtype.
+def _stack_batch(series, dtype) -> np.ndarray:
+    """(B, T, 1) array of same-length series in dtype.
 
     A finite sample that the cast turns into inf (beyond the float32 range,
     say) raises ValueError naming the dtype.
     """
-    series = []
-    for item in batch:
-        series.append(item.series if isinstance(item, LabeledSeries) else item)
     if not series:
         raise ValueError("empty batch")
     lengths = {len(s) for s in series}
@@ -441,15 +438,12 @@ def _split_pairs(split) -> tuple[list, list[int]]:
     return series, labels
 
 
-def _forward_impl(model: FcnModel, x: np.ndarray, training: bool):
-    """Run the body and head; in training mode also update running stats.
+def _train_forward(model: FcnModel, x: np.ndarray):
+    """Logits of x (B, T, 1) with batch-statistics batch-norm, for training.
 
-    x is (B, T, 1). Returns (logits, caches); caches hold what backprop
-    needs and is None in eval mode. Eval mode folds each block's running-stat
-    batch-norm into its convolution, so a block is one conv and one ReLU.
+    Updates the running statistics in place. Returns (logits, (caches, gap,
+    length)): what backprop needs.
     """
-    if not training:
-        return _eval_logits(model, x, _folded_blocks(model)), None
     caches = []
     out = x
     for k in (1, 2, 3):
@@ -485,17 +479,22 @@ def _eval_logits(model: FcnModel, x: np.ndarray, folded) -> np.ndarray:
     return out.mean(axis=1) @ model["head.weight"] + model["head.bias"]
 
 
-def forward(model: FcnModel, batch, mode: str = "eval") -> np.ndarray:
-    """Class-probability matrix (batch x C) for a batch of same-length series.
+def forward(model: FcnModel, batch) -> np.ndarray:
+    """Eval-mode class probabilities (N x C), one row per series, in order.
 
-    mode "train" normalizes with batch statistics and updates the running
-    statistics; mode "eval" uses the stored running statistics.
+    The batch holds arrays or LabeledSeries of one or of mixed lengths. It
+    runs in the chunks of `_eval_chunks`, with the running-stat batch-norm
+    folded into the convolutions; the model is not changed.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _stack_batch(batch, model.dtype)
-    logits, _ = _forward_impl(model, x, training=(mode == "train"))
-    return np.exp(_log_softmax(logits))
+    series = [s.series if isinstance(s, LabeledSeries) else s for s in batch]
+    if not series:
+        raise ValueError("empty batch")
+    folded = _folded_blocks(model)
+    probs = np.empty((len(series), model.class_count), dtype=model.dtype)
+    for idx in _eval_chunks([len(s) for s in series]):
+        x = _stack_batch([series[i] for i in idx], model.dtype)
+        probs[idx] = np.exp(_log_softmax(_eval_logits(model, x, folded)))
+    return probs
 
 
 def loss_and_gradients(model: FcnModel, batch):
@@ -519,7 +518,7 @@ def _loss_and_gradients_impl(model: FcnModel, batch):
     x = _stack_batch(series, model.dtype)
     batch_size = x.shape[0]
 
-    logits, (caches, gap, length) = _forward_impl(model, x, training=True)
+    logits, (caches, gap, length) = _train_forward(model, x)
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(batch_size), labels].mean())
     correct = int((logits.argmax(axis=1) == labels).sum())
@@ -672,25 +671,16 @@ def train(model: FcnModel, train_split, config: TrainConfig):
 def evaluate(model: FcnModel, split) -> float:
     """Fraction of samples whose argmax class matches the label (eval mode).
 
-    The argmax is taken on the probabilities `forward` returns, and ties
-    resolve to the lowest class index. Labels outside 0..class_count-1
-    raise ValueError, as in `loss_and_gradients`. The split may mix series
-    lengths. Batch-norm is folded into the convolutions once per call, and
-    the series go through the network in the chunks of `_eval_chunks`, so
-    the convolution buffers stay near their size at _EVAL_STEPS time steps
-    whatever the series length.
+    The argmax is taken on the probabilities `forward` returns for the
+    split's series, and ties resolve to the lowest class index. Labels
+    outside 0..class_count-1 raise ValueError, as in `loss_and_gradients`.
+    The split may mix series lengths.
     """
     series, labels = _split_pairs(split)
     if not series:
         raise ValueError("evaluate: empty split")
     labels = _checked_labels(labels, model.class_count)
-    folded = _folded_blocks(model)
-    correct = 0
-    for idx in _eval_chunks([len(s) for s in series]):
-        x = _stack_batch([series[i] for i in idx], model.dtype)
-        probs = np.exp(_log_softmax(_eval_logits(model, x, folded)))
-        correct += int((probs.argmax(axis=1) == labels[idx]).sum())
-    return correct / len(series)
+    return int((forward(model, series).argmax(axis=1) == labels).sum()) / len(series)
 
 
 def _eval_chunks(lengths) -> list[np.ndarray]:

@@ -41,6 +41,10 @@ __all__ = [
     "write_report",
 ]
 
+# The provenance every cell of one run shares, besides the dataset digests.
+# Resume and load_matrix_results both check these keys.
+_RUN_KEYS = ("seeds", "config", "train_dtype")
+
 # Sampled random-selection means carry float summation noise; comparisons
 # treat differences at or below this as ties.
 _TIE_TOLERANCE = 1e-9
@@ -82,29 +86,28 @@ class PairResult:
     transfer_best_epoch: int
     derived_seeds: dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "seed": self.seed,
-            "baseline_accuracy": self.baseline_accuracy,
-            "transfer_accuracy": self.transfer_accuracy,
-            "variation_percent": self.variation_percent,
-            "baseline_best_epoch": self.baseline_best_epoch,
-            "transfer_best_epoch": self.transfer_best_epoch,
-            "derived_seeds": dict(self.derived_seeds),
-        }
-
 
 def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int, cache: dict):
-    """Train a model from scratch on a dataset; memoized per (name, seed)."""
+    """Train a model from scratch on a dataset; memoized per (name, seed).
+
+    Training is deterministic, so a training that raised is memoized too
+    and its exception raised again.
+    """
     key = ("scratch", dataset.name, seed)
     if key not in cache:
         init_seed = derive_seed(seed, dataset.name, "init")
         train_seed = derive_seed(seed, dataset.name, "train")
         model = build_model(dataset.class_count, seed=init_seed)
-        trained, history = train(model, dataset.train, replace(config, seed=train_seed))
-        cache[key] = trained, history, {"init": init_seed, "train": train_seed}
+        try:
+            trained, history = train(
+                model, dataset.train, replace(config, seed=train_seed)
+            )
+        except Exception as exc:  # noqa: BLE001 - re-raised below, every call
+            cache[key] = exc
+        else:
+            cache[key] = trained, history, {"init": init_seed, "train": train_seed}
+    if isinstance(cache[key], Exception):
+        raise cache[key]
     return cache[key]
 
 
@@ -202,8 +205,8 @@ def _cell_record(
         "baseline_accuracy": baseline,
         "transfer_accuracy": transfer,
         "variation_percent": variation,
-        "results": [r.to_dict() for r in results],
-        **provenance,
+        "results": [asdict(r) for r in results],
+        **provenance,  # repeats "seeds", which keeps its place above
     }
 
 
@@ -265,13 +268,12 @@ def run_matrix(
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
 
+    run = dict(
+        zip(_RUN_KEYS, (seeds, asdict(config), TRAIN_DTYPE.name), strict=True)
+    )
+
     def provenance(s, t):
-        return {
-            "config": asdict(config),
-            "train_dtype": TRAIN_DTYPE.name,
-            "source_digest": digests[s],
-            "target_digest": digests[t],
-        }
+        return {**run, "source_digest": digests[s], "target_digest": digests[t]}
 
     cache: dict = {}
     for s, t in [(s, t) for s in names for t in names if s != t]:
@@ -281,8 +283,7 @@ def run_matrix(
                 record = _read_record(path)
             except DataValidationError:
                 record = {}
-            expected = {"seeds": seeds, **provenance(s, t)}
-            if all(record.get(k) == v for k, v in expected.items()):
+            if all(record.get(k) == v for k, v in provenance(s, t).items()):
                 matrix.cells[(s, t)] = record
                 continue
         try:
@@ -372,9 +373,8 @@ def _check_one_run(cells: dict, out_dir) -> None:
             )
 
     for cell, record in sorted(cells.items()):
-        claim("seeds", cell, record.get("seeds"))
-        claim("config", cell, record.get("config"))
-        claim("train_dtype", cell, record.get("train_dtype"))
+        for key in _RUN_KEYS:
+            claim(key, cell, record.get(key))
         claim(f"the contents of {cell[0]!r}", cell, record.get("source_digest"))
         claim(f"the contents of {cell[1]!r}", cell, record.get("target_digest"))
 

@@ -187,10 +187,10 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
     drift during probing is harmless.
     """
     from tstransfer.fcn import (
-        _forward_impl,
         _log_softmax,
         _split_pairs,
         _stack_batch,
+        _train_forward,
     )
 
     work = clone_model(model)
@@ -200,7 +200,7 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
     rows = np.arange(len(labels))
 
     def probe():
-        logits, (caches, _, _) = _forward_impl(work, x, training=True)
+        logits, (caches, _, _) = _train_forward(work, x)
         logp = _log_softmax(logits)
         loss = float(-logp[rows, labels].mean())
         pattern = b"".join(cache[4].tobytes() for cache in caches)

@@ -491,8 +491,8 @@ def test_criterion_9_serialization_round_trip(e2e):
                 ), name
             series = [item.series for item in target.test]
             labels = np.array([item.label for item in target.test])
-            p_orig = forward(original, series, mode="eval")
-            p_load = forward(loaded, series, mode="eval")
+            p_orig = forward(original, series)
+            p_load = forward(loaded, series)
             assert np.array_equal(p_orig.argmax(axis=1), p_load.argmax(axis=1))
             assert evaluate(loaded, target.test) == evaluate(original, target.test)
             assert ((p_orig.argmax(axis=1) == labels).mean() ==

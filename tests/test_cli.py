@@ -4,8 +4,8 @@ import json
 import pytest
 
 from helpers import make_sine_dataset
-from tstransfer import save_ucr_dataset
-from tstransfer.cli import main
+from tstransfer import TrainConfig, save_ucr_dataset
+from tstransfer.cli import _train_config, build_parser, main
 
 
 @pytest.fixture()
@@ -53,6 +53,13 @@ class TestTrainAndTransfer:
         rc = run(["train", "Nope", "--data", data_dir, "--epochs", "1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_training_defaults_are_the_train_config_defaults(self):
+        for argv in (["train", "NAME", "--data", "D"],
+                     ["transfer", "--source", "m.fcn", "--target", "T", "--data", "D"],
+                     ["matrix", "--data", "D", "--datasets", "A,B", "--out-dir", "O"]):
+            assert _train_config(build_parser().parse_args(argv)) == TrainConfig()
 
 
 class TestSimilarityRankPipeline:

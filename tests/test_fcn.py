@@ -28,8 +28,10 @@ from tstransfer.fcn import (
     _correlate_layout,
     _eval_chunks,
     _fold_batchnorm,
-    _forward_impl,
+    _folded_blocks,
+    _eval_logits,
     _stack_batch,
+    _train_forward,
     batchnorm_forward_eval,
     batchnorm_forward_train,
     conv1d_backward,
@@ -129,16 +131,15 @@ class TestForward:
         rng = np.random.default_rng(0)
         m = build_model(3, seed=1, filters=TINY)
         batch = [rng.standard_normal(20) for _ in range(5)]
-        for mode in ("train", "eval"):
-            probs = forward(m, batch, mode=mode)
-            assert probs.shape == (5, 3)
-            assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
+        probs = forward(m, batch)
+        assert probs.shape == (5, 3)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_zero_head_gives_uniform_rows(self):
         rng = np.random.default_rng(1)
         m = build_model(4, seed=2, filters=TINY)
         m["head.weight"][:] = 0.0
-        probs = forward(m, [rng.standard_normal(10) for _ in range(3)], mode="eval")
+        probs = forward(m, [rng.standard_normal(10) for _ in range(3)])
         assert np.array_equal(probs, np.full((3, 4), 0.25))
 
     def test_variable_length_shape_invariance(self):
@@ -148,25 +149,32 @@ class TestForward:
             probs = forward(m, [rng.standard_normal(length) for _ in range(2)])
             assert probs.shape == (2, 2)
 
-    def test_mixed_lengths_rejected(self):
-        m = build_model(2, seed=4, filters=TINY)
-        with pytest.raises(ValueError, match="lengths"):
-            forward(m, [np.zeros(5), np.zeros(6)])
+    def test_mixed_lengths_give_the_rows_of_their_groups(self):
+        rng = np.random.default_rng(4)
+        m = build_model(3, seed=4, filters=TINY)
+        lengths = [5, 6, 5, 9, 6, 5]
+        series = [rng.standard_normal(length) for length in lengths]
+        probs = forward(m, series)
+        assert probs.shape == (6, 3)
+        for length in set(lengths):
+            rows = [i for i, n in enumerate(lengths) if n == length]
+            group = forward(m, [series[i] for i in rows])
+            assert np.array_equal(probs[rows], group)
 
-    def test_bad_mode_rejected(self):
-        m = build_model(2, seed=4, filters=TINY)
-        with pytest.raises(ValueError):
-            forward(m, [np.zeros(5)], mode="test")
-
-    def test_train_mode_updates_running_stats_eval_does_not(self):
+    def test_forward_leaves_the_model_unchanged(self):
         rng = np.random.default_rng(5)
         m = build_model(2, seed=6, filters=TINY)
-        batch = [rng.standard_normal(12) for _ in range(4)]
+        before = model_bytes(m)
+        forward(m, [rng.standard_normal(12) for _ in range(4)])
+        assert model_bytes(m) == before
+
+    def test_loss_and_gradients_updates_running_stats(self):
+        rng = np.random.default_rng(5)
+        m = build_model(2, seed=6, filters=TINY)
+        batch = [(rng.standard_normal(12), k % 2) for k in range(4)]
         means = ("bn1.running_mean", "bn2.running_mean", "bn3.running_mean")
         before = [m[name].copy() for name in means]
-        forward(m, batch, mode="eval")
-        assert all(np.array_equal(a, m[name]) for a, name in zip(before, means))
-        forward(m, batch, mode="train")
+        loss_and_gradients(m, batch)
         assert not all(np.array_equal(a, m[name]) for a, name in zip(before, means))
 
 
@@ -195,7 +203,7 @@ class TestLayerPrimitives:
         rng = np.random.default_rng(6)
         m = build_model(2, seed=6, filters=TINY)
         x = _stack_batch([rng.standard_normal(7) for _ in range(2)], m.dtype)
-        _, (caches, gap, length) = _forward_impl(m, x, training=True)
+        _, (caches, gap, length) = _train_forward(m, x)
         _, _, xhat, _, mask = caches[2]
         act = (xhat * m["bn3.gamma"] + m["bn3.beta"]) * mask
         assert length == 7
@@ -345,8 +353,7 @@ class TestEvalPath:
             m[f"conv{k}.bias"] = 0.1 * rng.standard_normal(c)
         x = _stack_batch([rng.standard_normal(15) for _ in range(5)], m.dtype)
         before = model_bytes(m)
-        logits, caches = _forward_impl(m, x, training=False)
-        assert caches is None
+        logits = _eval_logits(m, x, _folded_blocks(m))
         assert model_bytes(m) == before
         assert max_rel(logits, reference_eval_logits(m, x)) <= 1e-12
 
@@ -386,6 +393,22 @@ class TestEvalPath:
             correct += round(evaluate(m, group) * n)
         assert 0 < correct < len(split)
         assert evaluate(m, split) == correct / len(split)
+
+    def test_evaluate_scores_the_argmax_of_forward(self):
+        rng = np.random.default_rng(59)
+        m = build_model(3, seed=60, filters=TINY)
+        # 300 x 11 spans two chunks and 3 x 1500 three
+        counts = {11: 300, 7: 4, 1500: 3}
+        split = [
+            (rng.standard_normal(length), int(rng.integers(0, 3)))
+            for length, n in counts.items() for _ in range(n)
+        ]
+        split = [split[i] for i in rng.permutation(len(split))]
+        assert len(_eval_chunks([len(s) for s, _ in split])) == 6
+        series, labels = zip(*split)
+        hits = forward(m, list(series)).argmax(axis=1) == np.array(labels)
+        assert 0 < hits.sum() < len(split)
+        assert evaluate(m, split) == hits.sum() / len(split)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 33, 512])
     @pytest.mark.parametrize("length", [1, 11, 128, 320, 600, 1000, 2047, 2709])
@@ -646,8 +669,7 @@ class TestDtype:
         assert all(t.dtype == dtype for _, t in work.items())
 
         series = [s for s, _ in split]
-        for mode in ("eval", "train"):
-            assert forward(work, series, mode=mode).dtype == dtype
+        assert forward(work, series).dtype == dtype
         swapped = swap_head(work, 3, seed=74)
         assert all(t.dtype == dtype for _, t in swapped.items())
 

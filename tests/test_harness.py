@@ -147,7 +147,7 @@ class TestRunMatrix:
         monkeypatch.setattr(harness, "evaluate", evaluate)
         for (s, t), cell in matrix.cells.items():
             source, target = datasets["ABC".index(s)], datasets["ABC".index(t)]
-            fresh = [run_pair(source, target, FAST, seed).to_dict() for seed in (0, 1)]
+            fresh = [asdict(run_pair(source, target, FAST, seed)) for seed in (0, 1)]
             assert cell["results"] == fresh
 
     def test_cell_counts(self, tmp_path):
@@ -322,6 +322,35 @@ class TestRunMatrix:
         assert not matrix.cells
         for pair in (("A", "H"), ("H", "A")):
             assert matrix.failures[pair].startswith("ValueError: train: no epoch")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_scratch_training_runs_once(self, tmp_path, monkeypatch):
+        def overflow(n):
+            return tuple(
+                LabeledSeries(np.full(16, 3e38 * (-1) ** k), k % 2) for k in range(n)
+            )
+
+        huge = Dataset(name="H", train=overflow(8), test=overflow(4), class_count=2)
+        trainings = []
+        real_train = harness.train
+
+        def counting_train(model, split, config):
+            trainings.append(config.seed)
+            return real_train(model, split, config)
+
+        monkeypatch.setattr(harness, "train", counting_train)
+        out = tmp_path / "res"
+        matrix = run_matrix([*tiny_datasets(2), huge],
+                            TrainConfig(epochs=2, batch_size=4), out_dir=out)
+        # one training per (dataset, seed), though H is in 4 cells
+        assert len(trainings) == 3
+        assert set(matrix.cells) == {("A", "B"), ("B", "A")}
+        assert set(matrix.failures) == {("A", "H"), ("B", "H"), ("H", "A"), ("H", "B")}
+        for (s, t), error in matrix.failures.items():
+            assert error.startswith("ValueError: train: no epoch")
+            marker = json.loads((out / "cells" / f"{s}__{t}.json.failed").read_text())
+            assert marker["error"] == error
+        assert len(set(matrix.failures.values())) == 1
 
     def test_cell_with_samples_beyond_float32_records_the_cause(self):
         def beyond(n):

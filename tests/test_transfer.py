@@ -306,8 +306,8 @@ class TestFineTune:
         save_model(trained, path)
         back = load_model(path)
         series = [item.series for item in ds.test]
-        p1 = forward(trained, series, mode="eval")
-        p2 = forward(back, series, mode="eval")
+        p1 = forward(trained, series)
+        p2 = forward(back, series)
         same_argmax = np.array_equal(p1.argmax(axis=1), p2.argmax(axis=1))
         assert same_argmax or np.abs(p1 - p2).max() < 1e-5
         if same_argmax:
