@@ -24,7 +24,7 @@ from .similarity import (
     write_matrix_csv,
     write_ranking_json,
 )
-from .transfer import fine_tune, load_model, save_model
+from .transfer import ModelFileError, fine_tune, load_model, save_model
 
 
 def _load_dataset(data_dir: str, name: str) -> Dataset:
@@ -49,6 +49,12 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _check_out_dir(out) -> None:
+    """FileNotFoundError when out is set and its directory does not exist."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(f"no directory for --out {out!r}")
+
+
 def _report_training(model, history, dataset: Dataset, out) -> None:
     """Print the best epoch and the test accuracy; save the model to out if set."""
     if history.best_epoch:
@@ -65,6 +71,7 @@ def _report_training(model, history, dataset: Dataset, out) -> None:
 
 
 def _cmd_train(args) -> int:
+    _check_out_dir(args.out)
     dataset = _load_dataset(args.data, args.name)
     config = _train_config(args)
     model = build_model(dataset.class_count, seed=derive_seed(args.seed, "init"))
@@ -80,6 +87,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    _check_out_dir(args.out)
     pretrained = load_model(args.source)
     dataset = _load_dataset(args.data, args.target)
     config = _train_config(args)
@@ -185,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", required=True, help="comma-separated dataset names")
     p.add_argument("--out", required=True, help="matrix CSV path")
     p.add_argument(
-        "--dba-iters", type=int, default=10,
-        help="DBA refinement steps per class prototype (default 10); steps "
+        "--dba-iters", type=int, default=DbaConfig().iterations,
+        help="DBA refinement steps per class prototype (default %(default)s); steps "
         "after a fixed point are skipped, which leaves the result unchanged",
     )
     p.set_defaults(func=_cmd_similarity)
@@ -220,7 +228,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError, ModelFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,21 +20,24 @@ sum_k padded[q+k] @ wk[k] for every row q of the whole batch; the K-1 output
 rows between two segments straddle two series and are dropped. The kernel
 makes its K-fold copy on the narrower side: an im2col matrix of the input
 (K*Cin columns) when Cin <= Cout, otherwise one GEMM into K*Cout columns
-whose K column blocks are added with a shift of k rows. The backward pass
-keeps only the padded input: the weight gradient is K GEMMs over its
-shifted views, and the input gradient is a transposed convolution, the same
-kernel applied to the padded output gradient and the flipped weights.
-Each block's cached activations are released as soon as the backward pass
-has used them. Inference, `forward` and so `evaluate`, folds each block's
-running-stat batch-norm into the convolution's weights and bias once per
-call, copied into the layout `_correlate` multiplies, and runs the series
-in chunks of about _EVAL_STEPS time steps of one length, so its buffers do
-not grow with the series length. Model weights keep the (Cout, Cin, K)
-layout in memory and on disk.
+whose K column blocks are added with a shift of k rows. It makes that copy
+in balanced blocks of rows, each under _CORRELATE_BYTES, in one scratch
+buffer per thread that later calls reuse, so the copy does not grow with
+B*T. The backward pass keeps only the padded input: the weight gradient is K
+GEMMs over its shifted views, and the input gradient is a transposed
+convolution, the same kernel applied to the padded output gradient and the
+flipped weights. Each block's cached activations are released as soon as the
+backward pass has used them. Inference, `forward` and so `evaluate`, folds
+each block's running-stat batch-norm into the convolution's weights and bias
+once per call, copied into the layout `_correlate` multiplies, and runs the
+series in chunks of about _EVAL_STEPS time steps of one length, so its
+buffers do not grow with the series length. Model weights keep the (Cout,
+Cin, K) layout in memory and on disk.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -69,6 +72,8 @@ BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
 TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
 _EVAL_STEPS = 2048  # time steps per evaluation chunk: 16 series at T=128
+_CORRELATE_BYTES = 2 * 2**20  # bytes of `_correlate`'s K-fold copy per block
+_SCRATCH = threading.local()  # each thread's `_correlate` scratch buffer
 
 
 class FcnModel(dict):
@@ -231,36 +236,61 @@ def _segments(x: np.ndarray, left: int, right: int) -> np.ndarray:
     return padded.reshape(-1, channels)
 
 
-def _im2col(flat: np.ndarray, kernel: int) -> np.ndarray:
-    """Contiguous (R-K+1, K*C) matrix whose row q is flat[q : q+K] end to end.
+def _scratch(shape: tuple[int, int], dtype) -> np.ndarray:
+    """Uninitialized array of this shape in the calling thread's scratch buffer.
 
-    flat is a C-contiguous (R, C) array, so the rows are overlapping runs
-    of one buffer: a strided view, then a single copy.
+    The buffer grows to the largest request, at most one block, and is
+    kept, so later calls reuse pages that are already mapped; a fresh
+    block-sized array per call is faulted in anew on every call.
     """
-    channels = flat.shape[1]
-    return sliding_window_view(flat.reshape(-1), kernel * channels)[::channels].copy()
+    nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _correlate(padded: np.ndarray, wk: np.ndarray) -> np.ndarray:
     """(R, Co) array whose row q < R-K+1 is sum_k padded[q+k] @ wk[k].
 
     padded is a C-contiguous (R, Ci) array and wk is (K, Ci, Co); the last
-    K-1 rows are left unset. The K-fold copy is made on the narrower side.
-    When Ci <= Co, one GEMM multiplies the (R-K+1, K*Ci) im2col matrix.
-    When Ci > Co, one GEMM fills K*Co columns, then the K column blocks are
-    added, block k shifted up by k rows.
+    K-1 rows are left unset. The K-fold copy is made on the narrower side,
+    in balanced blocks of rows whose copy fits in _CORRELATE_BYTES, in the
+    thread's scratch buffer, reused for every block. When Ci <= Co, each
+    block's windows padded[q : q+K] are copied end to end into a
+    (rows, K*Ci) im2col matrix, and one GEMM writes the block's output
+    rows. When Ci > Co, one GEMM of the block's rows plus the K-1 after
+    them fills K*Co columns, then the K column blocks are added, block k
+    shifted up by k rows.
     """
     kernel, in_ch, out_ch = wk.shape
     rows = padded.shape[0] - kernel + 1
     out = np.empty((padded.shape[0], out_ch), dtype=np.result_type(padded, wk))
-    if in_ch <= out_ch:
-        wmat = wk.reshape(kernel * in_ch, out_ch)
-        np.matmul(_im2col(padded, kernel), wmat, out=out[:rows])
+    im2col = in_ch <= out_ch
+    width = kernel * (in_ch if im2col else out_ch)
+    copy_bytes = rows * width * (padded.itemsize if im2col else out.itemsize)
+    count = max(min(-(-copy_bytes // _CORRELATE_BYTES), rows), 1)
+    bounds = [j * rows // count for j in range(count + 1)]
+    block = -(-rows // count)
+    if im2col:
+        wmat = wk.reshape(width, out_ch)
+        # Row q of the strided view is padded[q : q+K] end to end.
+        windows = sliding_window_view(padded.reshape(-1), width)[::in_ch]
+        scratch = _scratch((block, width), padded.dtype)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            cols = scratch[: r1 - r0]
+            np.copyto(cols, windows[r0:r1])
+            np.matmul(cols, wmat, out=out[r0:r1])
         return out
-    y = padded @ wk.transpose(1, 0, 2).reshape(in_ch, kernel * out_ch)
-    out[:rows] = y[:rows, :out_ch]
-    for k in range(1, kernel):
-        out[:rows] += y[k : k + rows, k * out_ch : (k + 1) * out_ch]
+    wmat = wk.transpose(1, 0, 2).reshape(in_ch, width)
+    scratch = _scratch((block + kernel - 1, width), out.dtype)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        n = r1 - r0
+        y = scratch[: n + kernel - 1]
+        np.matmul(padded[r0 : r1 + kernel - 1], wmat, out=y)
+        out[r0:r1] = y[:n, :out_ch]
+        for k in range(1, kernel):
+            out[r0:r1] += y[k : k + n, k * out_ch : (k + 1) * out_ch]
     return out
 
 

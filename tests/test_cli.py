@@ -1,10 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from helpers import make_sine_dataset
-from tstransfer import TrainConfig, save_ucr_dataset
+from tstransfer import DbaConfig, TrainConfig, save_ucr_dataset
 from tstransfer.cli import _train_config, build_parser, main
 
 
@@ -61,6 +64,53 @@ class TestTrainAndTransfer:
                      ["matrix", "--data", "D", "--datasets", "A,B", "--out-dir", "O"]):
             assert _train_config(build_parser().parse_args(argv)) == TrainConfig()
 
+    def test_bad_model_file_is_reported(self, tmp_path, data_dir, capsys):
+        bad = tmp_path / "bad.fcn"
+        bad.write_bytes(b"not a model file at all")
+        rc = run(["transfer", "--source", bad, "--target", "B", "--data", data_dir,
+                  "--epochs", "1"])
+        assert rc == 2
+        assert "bad magic" in capsys.readouterr().err
+
+    def test_directory_as_model_file_is_reported(self, tmp_path, data_dir, capsys):
+        rc = run(["transfer", "--source", tmp_path, "--target", "B", "--data",
+                  data_dir, "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_train_out_without_directory_fails_before_training(
+        self, tmp_path, data_dir, capsys
+    ):
+        out = tmp_path / "nodir" / "m.fcn"
+        rc = run(["train", "A", "--data", data_dir, "--epochs", "1", "--out", out])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "trained" not in captured.out
+        assert captured.err.startswith("error: ") and "nodir" in captured.err
+        assert not out.parent.exists()
+
+    def test_transfer_out_without_directory_fails_before_training(
+        self, tmp_path, data_dir, capsys
+    ):
+        source = tmp_path / "a.fcn"
+        assert run(["train", "A", "--data", data_dir, "--epochs", "1",
+                    "--out", source]) == 0
+        capsys.readouterr()
+        rc = run(["transfer", "--source", source, "--target", "B", "--data",
+                  data_dir, "--epochs", "1", "--out", tmp_path / "nodir" / "b.fcn"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "fine-tuned" not in captured.out
+        assert captured.err.startswith("error: ") and "nodir" in captured.err
+
+    def test_module_runs_as_a_script(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "tstransfer", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: tstransfer")
+
 
 class TestSimilarityRankPipeline:
     def test_similarity_then_rank(self, tmp_path, data_dir):
@@ -81,6 +131,12 @@ class TestSimilarityRankPipeline:
         assert {e["source"] for e in data["ranking"]} == {"B", "C"}
         dists = [e["distance"] for e in data["ranking"]]
         assert dists == sorted(dists)
+
+    def test_dba_iterations_default_is_the_dba_config_default(self):
+        args = build_parser().parse_args(
+            ["similarity", "--data", "D", "--datasets", "A,B", "--out", "m.csv"]
+        )
+        assert DbaConfig(iterations=args.dba_iters) == DbaConfig()
 
 
 class TestMatrixReportPipeline:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from tstransfer import (
     build_model,
     clone_model,
     evaluate,
+    fcn,
     forward,
     init_adam_state,
     loss_and_gradients,
@@ -20,11 +23,13 @@ from tstransfer import (
     train,
 )
 from tstransfer.fcn import (
+    _CORRELATE_BYTES,
     _EVAL_STEPS,
     BN_EPSILON,
     KERNEL_SIZES,
     TRAIN_DTYPE,
     TRAINABLE,
+    _correlate,
     _correlate_layout,
     _eval_chunks,
     _fold_batchnorm,
@@ -329,6 +334,67 @@ class TestConvAgainstReference:
                 assert np.array_equal(dx2[kept], dx[kept])
 
 
+def reference_correlate(padded, wk):
+    """sum_k padded[q+k] @ wk[k] for every row q with K rows ahead, tap by tap."""
+    kernel = wk.shape[0]
+    rows = padded.shape[0] - kernel + 1
+    padded, wk = padded.astype(np.float64), wk.astype(np.float64)
+    return sum(padded[k : k + rows] @ wk[k] for k in range(kernel))
+
+
+class TestCorrelateBlocks:
+    # 203 padded rows give 199 output rows, a prime, so every count of
+    # blocks between 2 and 198 leaves blocks of two sizes.
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("in_ch, out_ch", [(3, 7), (7, 3)])  # im2col, shift-add
+    @pytest.mark.parametrize("rows_per_block", [1, 16, 40, 10**6])
+    def test_blocks_match_the_per_tap_reference(self, monkeypatch, dtype, tol, in_ch,
+                                                out_ch, rows_per_block):
+        kernel = 5
+        rng = np.random.default_rng(rows_per_block + in_ch)
+        padded = rng.standard_normal((203, in_ch)).astype(dtype)
+        wk = rng.standard_normal((kernel, in_ch, out_ch)).astype(dtype)
+        row_bytes = kernel * min(in_ch, out_ch) * padded.itemsize
+        monkeypatch.setattr(fcn, "_CORRELATE_BYTES", rows_per_block * row_bytes)
+        out = _correlate(padded, wk)
+        assert out.shape == (203, out_ch) and out.dtype == dtype
+        assert max_rel(out[:199], reference_correlate(padded, wk)) <= tol
+
+    @pytest.mark.parametrize("in_ch, out_ch", [(128, 256), (256, 128)])
+    def test_scratch_stays_within_the_budget(self, in_ch, out_ch):
+        # Block 2's input and its gradient at B=16, T=2709: at the full
+        # length the K-fold copy alone would be 111 MB in float32.
+        rng = np.random.default_rng(in_ch)
+        padded = rng.standard_normal((16 * 2713, in_ch), dtype=np.float32)
+        wk = rng.standard_normal((5, in_ch, out_ch), dtype=np.float32)
+        out_bytes = padded.shape[0] * out_ch * padded.itemsize
+        peak = traced_peak(_correlate, padded, wk)
+        assert peak < out_bytes + _CORRELATE_BYTES + 2**20
+        assert fcn._SCRATCH.buf.nbytes < _CORRELATE_BYTES + 2**20
+
+    def test_threads_keep_their_own_scratch(self, monkeypatch):
+        monkeypatch.setattr(fcn, "_CORRELATE_BYTES", 4096)
+        rng = np.random.default_rng(59)
+        cases = [
+            (rng.standard_normal((4000, cin)), rng.standard_normal((5, cin, cout)))
+            for cin, cout in [(8, 16), (16, 8)] * 2
+        ]
+        serial = [_correlate(p, w) for p, w in cases]
+        results = [None] * len(cases)
+
+        def run(k):
+            for _ in range(20):
+                results[k] = _correlate(*cases[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for got, want in zip(results, serial):
+            assert np.array_equal(got[:3996], want[:3996])
+
+
 def reference_eval_logits(m, x):
     """Unfolded eval forward: conv, running-stat batch-norm, ReLU, pooling."""
     out = x
@@ -484,7 +550,15 @@ class TestLossAndGradients:
         rng = np.random.default_rng(40)
         m = build_model(3, seed=41)
         batch = [(rng.standard_normal(128), k % 3) for k in range(16)]
-        assert traced_peak(loss_and_gradients, m, batch) < 32 * 2**20
+        assert traced_peak(loss_and_gradients, m, batch) < 26 * 2**20
+
+    def test_long_float32_step_memory_peak(self):
+        # The K-fold copies of block 2 grow no larger than _CORRELATE_BYTES,
+        # where at T=1024 each one would be 42 MB.
+        rng = np.random.default_rng(42)
+        m = clone_model(build_model(3, seed=43), TRAIN_DTYPE)
+        batch = [(rng.standard_normal(1024), k % 3) for k in range(16)]
+        assert traced_peak(loss_and_gradients, m, batch) < 95 * 2**20
 
     def test_gradient_shapes_match_parameters(self):
         m = build_model(3, seed=14, filters=TINY)
