@@ -9,8 +9,9 @@ import time
 
 from .core import Dataset, find_ucr_pair, load_ucr_dataset
 from .dba import DbaConfig
-from .fcn import TrainConfig, build_model, evaluate, train
+from .fcn import TrainConfig, evaluate
 from .harness import (
+    _scratch_run,
     derive_seed,
     load_matrix_results,
     run_matrix,
@@ -49,12 +50,6 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _check_out_dir(out) -> None:
-    """FileNotFoundError when out is set and its directory does not exist."""
-    if out and not os.path.isdir(os.path.dirname(out) or "."):
-        raise FileNotFoundError(f"no directory for --out {out!r}")
-
-
 def _report_training(model, history, dataset: Dataset, out) -> None:
     """Print the best epoch and the test accuracy; save the model to out if set."""
     if history.best_epoch:
@@ -71,12 +66,10 @@ def _report_training(model, history, dataset: Dataset, out) -> None:
 
 
 def _cmd_train(args) -> int:
-    _check_out_dir(args.out)
     dataset = _load_dataset(args.data, args.name)
     config = _train_config(args)
-    model = build_model(dataset.class_count, seed=derive_seed(args.seed, "init"))
     tic = time.perf_counter()
-    trained, history = train(model, dataset.train, config)
+    trained, history, _ = _scratch_run(dataset, config, args.seed)
     elapsed = time.perf_counter() - tic
     print(
         f"trained {dataset.name}: {len(dataset.train)} series, "
@@ -87,7 +80,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    _check_out_dir(args.out)
     pretrained = load_model(args.source)
     dataset = _load_dataset(args.data, args.target)
     config = _train_config(args)
@@ -227,6 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every output's directory must exist before a command computes.
+        for out in (getattr(args, "out", None), getattr(args, "aggregate_out", None)):
+            if out and not os.path.isdir(os.path.dirname(out) or "."):
+                raise FileNotFoundError(f"no directory for output {out!r}")
         return args.func(args)
     except (ValueError, KeyError, OSError, ModelFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,12 @@
 """Pairwise transfer experiments, accuracy-variation matrix, and reports.
 
-For every ordered (source, target) pair the harness trains a scratch
-baseline on the target, pretrains on the source, fine-tunes on the target,
-and evaluates both on the target test split. Cell results land on disk as
-one JSON file per cell (written atomically), which doubles as the resume
-state: completed cells are never retrained. Reports aggregate per-target
-transfer accuracies and compare similarity-ranked source selection against
-a random-selection baseline.
+A matrix run has two phases: one model trained from scratch per (dataset,
+seed) is the dataset's baseline and its pretrained source model, and then
+each pretrained model is fine-tuned on every other target. Cell results
+land on disk as one JSON file per cell (written atomically), which doubles
+as the resume state: completed cells are never retrained. Reports aggregate
+per-target transfer accuracies and compare similarity-ranked source
+selection against a random-selection baseline.
 """
 
 from __future__ import annotations
@@ -87,61 +87,58 @@ class PairResult:
     derived_seeds: dict[str, int] = field(default_factory=dict)
 
 
-def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int, cache: dict):
-    """Train a model from scratch on a dataset; memoized per (name, seed).
+def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int):
+    """Train a model from scratch on a dataset: (model, history, seeds).
 
-    Training is deterministic, so a training that raised is memoized too
-    and its exception raised again.
+    The seeds derive from (seed, dataset name) alone, so one model serves
+    as the dataset's baseline and as its pretrained source model.
     """
-    key = ("scratch", dataset.name, seed)
-    if key not in cache:
-        init_seed = derive_seed(seed, dataset.name, "init")
-        train_seed = derive_seed(seed, dataset.name, "train")
-        model = build_model(dataset.class_count, seed=init_seed)
-        try:
-            trained, history = train(
-                model, dataset.train, replace(config, seed=train_seed)
-            )
-        except Exception as exc:  # noqa: BLE001 - re-raised below, every call
-            cache[key] = exc
-        else:
-            cache[key] = trained, history, {"init": init_seed, "train": train_seed}
-    if isinstance(cache[key], Exception):
-        raise cache[key]
-    return cache[key]
+    init_seed = derive_seed(seed, dataset.name, "init")
+    train_seed = derive_seed(seed, dataset.name, "train")
+    model = build_model(dataset.class_count, seed=init_seed)
+    trained, history = train(model, dataset.train, replace(config, seed=train_seed))
+    return trained, history, {"init": init_seed, "train": train_seed}
 
 
-def _baseline_accuracy(model, target: Dataset, seed: int, cache: dict) -> float:
-    """Test accuracy of the scratch baseline; memoized per (target, seed)."""
-    key = ("baseline_accuracy", target.name, seed)
-    if key not in cache:
-        cache[key] = evaluate(model, target.test)
-    return cache[key]
+def _outcome(thunk):
+    """thunk(), or the exception it raised."""
+    try:
+        return thunk()
+    except Exception as exc:  # noqa: BLE001 - raised by each cell that needs it
+        return exc
+
+
+def _value(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_pair(
-    source: Dataset, target: Dataset, config: TrainConfig, seed: int, _cache=None
+    source: Dataset, target: Dataset, config: TrainConfig, seed: int, _phase1=None
 ) -> PairResult:
     """One full experiment: scratch baseline, pretrain, fine-tune, evaluate.
 
     The baseline's seeds depend only on (seed, target) and the pretraining
     seeds only on (seed, source), so every target has a single baseline and
     every source a single pretrained model for a given base seed; the
-    fine-tuning seeds depend on the pair. Deterministic per seed.
+    fine-tuning seeds depend on the pair. Deterministic per seed. `_phase1`
+    holds (target run, source run, baseline accuracy) as `_outcome` values.
     """
     if source.name == target.name:
         raise ValueError(f"source and target must differ, got {source.name!r}")
-    cache = {} if _cache is None else _cache
-    baseline_model, baseline_hist, baseline_seeds = _scratch_run(
-        target, config, seed, cache
-    )
-    pretrained, _, source_seeds = _scratch_run(source, config, seed, cache)
+    if _phase1 is None:
+        runs = [_scratch_run(d, config, seed) for d in (target, source)]
+        _phase1 = (*runs, _outcome(lambda: evaluate(runs[0][0], target.test)))
+    target_run, source_run, baseline_acc = _phase1
+    _, baseline_hist, baseline_seeds = _value(target_run)
+    pretrained, _, source_seeds = _value(source_run)
     head_seed = derive_seed(seed, source.name, target.name, "head")
     finetune_seed = derive_seed(seed, source.name, target.name, "finetune")
     tuned, tuned_hist = fine_tune(
         pretrained, target, replace(config, seed=finetune_seed), head_seed
     )
-    baseline_acc = _baseline_accuracy(baseline_model, target, seed, cache)
+    baseline_acc = _value(baseline_acc)
     transfer_acc = evaluate(tuned, target.test)
     variation = (
         accuracy_variation(baseline_acc, transfer_acc) if baseline_acc > 0 else None
@@ -191,17 +188,14 @@ class VariationMatrix:
         return columns
 
 
-def _cell_record(
-    source: Dataset, target: Dataset, config, seeds, cache, provenance: dict
-) -> dict:
-    results = [run_pair(source, target, config, s, _cache=cache) for s in seeds]
+def _cell_record(results: list[PairResult], provenance: dict) -> dict:
     baseline = sum(r.baseline_accuracy for r in results) / len(results)
     transfer = sum(r.transfer_accuracy for r in results) / len(results)
     variation = accuracy_variation(baseline, transfer) if baseline > 0 else None
     return {
-        "source": source.name,
-        "target": target.name,
-        "seeds": list(seeds),
+        "source": results[0].source,
+        "target": results[0].target,
+        "seeds": [r.seed for r in results],
         "baseline_accuracy": baseline,
         "transfer_accuracy": transfer,
         "variation_percent": variation,
@@ -246,12 +240,13 @@ def run_matrix(
     TrainConfig fields, the dtype training computes in and SHA-256 digests
     of the source and target contents. An existing cell file is reused only
     when all of them match this run; a cell file that is not a JSON object
-    is stale too. Stale cells are recomputed and their files overwritten.
-    A failing cell is recorded (and marked on disk) without stopping the
-    run. Cells run one after another, since numpy's BLAS already uses every
-    core. Scratch baselines and pretrained source models are shared across
-    cells of one run; training is deterministic, so the results are
-    identical to recomputing them per cell.
+    is stale too. Stale cells are recomputed in two phases: phase 1 trains
+    one scratch model per (dataset, seed) of those cells and evaluates each
+    target's baseline once per seed, then phase 2 runs `run_pair` per cell
+    and seed on those results, the same as a lone `run_pair`'s. A failing
+    cell, phase 1 included, is recorded and marked on disk (its stale result
+    file removed) without stopping the run. Cells run one after another,
+    since numpy's BLAS already uses every core.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -275,7 +270,7 @@ def run_matrix(
     def provenance(s, t):
         return {**run, "source_digest": digests[s], "target_digest": digests[t]}
 
-    cache: dict = {}
+    todo = []
     for s, t in [(s, t) for s in names for t in names if s != t]:
         path = None if out_dir is None else _cell_path(out_dir, s, t)
         if path is not None and os.path.isfile(path):
@@ -286,23 +281,32 @@ def run_matrix(
             if all(record.get(k) == v for k, v in provenance(s, t).items()):
                 matrix.cells[(s, t)] = record
                 continue
+        todo.append((s, t, path))
+
+    runs, baselines = {}, {}
+    for seed, d in [(seed, d) for seed in seeds for d in datasets]:
+        if any(d.name in cell[:2] for cell in todo):
+            runs[d.name, seed] = _outcome(lambda: _scratch_run(d, config, seed))
+        if any(d.name == cell[1] for cell in todo):
+            baselines[d.name, seed] = _outcome(
+                lambda: evaluate(_value(runs[d.name, seed])[0], d.test))
+    for s, t, path in todo:
         try:
-            record = _cell_record(
-                by_name[s], by_name[t], config, seeds, cache, provenance(s, t)
-            )
+            record = _cell_record([
+                run_pair(by_name[s], by_name[t], config, seed,
+                         _phase1=(runs[t, seed], runs[s, seed], baselines[t, seed]))
+                for seed in seeds
+            ], provenance(s, t))
+            matrix.cells[(s, t)] = record
+            written, stale = "", ".failed"
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            error = f"{type(exc).__name__}: {exc}"
-            matrix.failures[(s, t)] = error
-            if path is not None:
-                dump_json_17g(
-                    {"source": s, "target": t, "error": error}, path + ".failed"
-                )
-            continue
-        matrix.cells[(s, t)] = record
+            record = {"source": s, "target": t, "error": f"{type(exc).__name__}: {exc}"}
+            matrix.failures[(s, t)] = record["error"]
+            written, stale = ".failed", ""
         if path is not None:
-            dump_json_17g(record, path)
-            if os.path.exists(path + ".failed"):
-                os.unlink(path + ".failed")
+            dump_json_17g(record, path + written)
+            if os.path.exists(path + stale):
+                os.unlink(path + stale)
     return matrix
 
 
@@ -335,7 +339,8 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
     its own cells, so a mix is refused with a DataValidationError naming two
     cells that disagree. A cell file that is not a JSON object, or lacks its
     `source`, `target` or (for a failure) `error` key, raises
-    DataValidationError naming the file.
+    DataValidationError naming the file; so does a cell both completed and
+    failed.
     """
     cells_dir = os.path.join(out_dir, "cells")
     if not os.path.isdir(cells_dir):
@@ -355,6 +360,9 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
         key = (record["source"], record["target"])
         cells[key] = record
         seen.update(key)
+    both = sorted(cells.keys() & failures.keys())
+    if both:
+        raise DataValidationError(f"{out_dir}: cell {both[0]} completed and failed")
     _check_one_run(cells, out_dir)
     if names is None:
         names = tuple(sorted(seen))
@@ -392,16 +400,12 @@ def write_variation_csv(matrix: VariationMatrix, path) -> None:
             writer.writerow(row)
 
 
-def aggregate(matrix) -> dict[str, tuple[float, float, float]]:
-    """Per-target (min, median, max) transfer accuracy over all sources.
+def aggregate(columns) -> dict[str, tuple[float, float, float]]:
+    """Per-target (min, median, max) of {target: {source: accuracy}}.
 
-    Accepts a VariationMatrix or a per-target accuracy mapping
-    {target: {source: accuracy}}. Targets with no entries are absent. The
-    median of an even count is the mean of the middle two values.
+    Targets with no entries are absent. The median of an even count is the
+    mean of the middle two values.
     """
-    columns = (
-        matrix.target_accuracies() if isinstance(matrix, VariationMatrix) else matrix
-    )
     out: dict[str, tuple[float, float, float]] = {}
     for target, column in columns.items():
         values = sorted(column.values())
@@ -417,23 +421,18 @@ def aggregate(matrix) -> dict[str, tuple[float, float, float]]:
 
 
 def compare_selection(
-    accuracies, rankings, iterations: int = 1000, seed: int = 0
+    columns, rankings, iterations: int = 1000, seed: int = 0
 ) -> dict:
     """Similarity-guided source selection versus random selection.
 
-    `accuracies` is a VariationMatrix or {target: {source: accuracy}};
-    `rankings` maps each target to its SourceRanking. For every target the
-    report lists the transfer accuracy of the rank-1 source (and ranks 2
-    and 3 when they exist), the random baseline as the mean accuracy over
-    `iterations` uniform source draws, and the exact column mean for
-    reference. Totals count wins, ties, and losses of rank-1 selection
-    against the sampled random baseline. Reproducible for a given seed.
+    `columns` is {target: {source: accuracy}}; `rankings` maps each target
+    to its SourceRanking. For every target the report lists the transfer
+    accuracy of the rank-1 source (and ranks 2 and 3 when they exist), the
+    random baseline as the mean accuracy over `iterations` uniform source
+    draws, and the exact column mean for reference. Totals count wins, ties,
+    and losses of rank-1 selection against the sampled random baseline.
+    Reproducible for a given seed.
     """
-    columns = (
-        accuracies.target_accuracies()
-        if isinstance(accuracies, VariationMatrix)
-        else accuracies
-    )
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     targets = {}
@@ -504,7 +503,8 @@ def write_report(
     rankings: dict[str, SourceRanking] = {
         name: rank_sources(similarity, name) for name in matrix.names
     }
-    report = compare_selection(matrix, rankings, iterations=iterations, seed=seed)
+    columns = matrix.target_accuracies()
+    report = compare_selection(columns, rankings, iterations=iterations, seed=seed)
     report["failures"] = [
         {"source": s, "target": t, "error": err}
         for (s, t), err in sorted(matrix.failures.items())
@@ -512,7 +512,7 @@ def write_report(
     dump_json_17g(report, out_path)
 
     if aggregate_path is not None:
-        aggregates = aggregate(matrix)
+        aggregates = aggregate(columns)
         with open(aggregate_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["target", "min", "median", "max"])

@@ -8,6 +8,7 @@ gradients are checked against central finite differences of the loss.
 
 from __future__ import annotations
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,30 @@ def traced_peak(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def record_calls(monkeypatch, module, name: str, log=None, fail=None) -> list:
+    """Replace `module.<name>` by a wrapper that logs each call; return the log.
+
+    Each call appends `(name, arguments)` to `log` (a new list unless one is
+    given, so several functions can share one log), with the arguments bound
+    to the wrapped function's parameter names. Tests read them by name, so a
+    new keyword on the wrapped function breaks none of them. A call whose
+    arguments satisfy `fail` raises RuntimeError("injected failure").
+    """
+    real = getattr(module, name)
+    signature = inspect.signature(real)
+    log = [] if log is None else log
+
+    def wrapper(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        log.append((name, arguments))
+        if fail is not None and fail(arguments):
+            raise RuntimeError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return log
 
 
 def gradient_relative_errors(analytic, numeric, usable=None, floor: float = 1e-4):

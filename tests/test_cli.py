@@ -6,8 +6,17 @@ import sys
 
 import pytest
 
-from helpers import make_sine_dataset
-from tstransfer import DbaConfig, TrainConfig, save_ucr_dataset
+import tstransfer.cli as cli
+import tstransfer.harness as harness
+from helpers import make_sine_dataset, record_calls
+from tstransfer import (
+    DbaConfig,
+    TrainConfig,
+    load_ucr_dataset,
+    run_matrix,
+    save_model,
+    save_ucr_dataset,
+)
 from tstransfer.cli import _train_config, build_parser, main
 
 
@@ -51,6 +60,26 @@ class TestTrainAndTransfer:
         assert any(line.startswith("best epoch ") for line in lines)
         assert any(line.startswith("test accuracy ") for line in lines)
         assert f"saved model to {tuned_path}" in lines
+
+    def test_train_writes_the_model_the_matrix_pretrains(
+        self, tmp_path, data_dir, capsys, monkeypatch
+    ):
+        model_path = tmp_path / "a.fcn"
+        assert run(["train", "A", "--data", data_dir, "--epochs", "2",
+                    "--batch", "8", "--seed", "4", "--out", model_path]) == 0
+        printed = capsys.readouterr().out.splitlines()
+
+        datasets = [load_ucr_dataset(data_dir / f"{name}_TRAIN.tsv",
+                                     data_dir / f"{name}_TEST.tsv", name)
+                    for name in "AB"]
+        tunes = record_calls(monkeypatch, harness, "fine_tune")
+        matrix = run_matrix(datasets, TrainConfig(epochs=2, batch_size=8), seeds=[4])
+        (pretrained,) = [a["pretrained"] for _, a in tunes if a["target"].name == "B"]
+        matrix_path = tmp_path / "matrix_a.fcn"
+        save_model(pretrained, matrix_path)
+        assert model_path.read_bytes() == matrix_path.read_bytes()
+        baseline = matrix.cells[("B", "A")]["baseline_accuracy"]
+        assert f"test accuracy {baseline:.4f}" in printed
 
     def test_unknown_dataset_is_reported(self, data_dir, capsys):
         rc = run(["train", "Nope", "--data", data_dir, "--epochs", "1"])
@@ -102,6 +131,31 @@ class TestTrainAndTransfer:
         captured = capsys.readouterr()
         assert "fine-tuned" not in captured.out
         assert captured.err.startswith("error: ") and "nodir" in captured.err
+
+    @pytest.mark.parametrize("command", ["similarity", "rank", "report", "aggregate"])
+    def test_out_without_directory_fails_before_computing(
+        self, tmp_path, data_dir, capsys, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before checking the output directory")
+
+        for name in ("similarity_matrix", "read_matrix_csv", "load_matrix_results"):
+            monkeypatch.setattr(cli, name, refuse)
+        nodir = tmp_path / "nodir"
+        report = ["report", "--results", tmp_path, "--matrix", tmp_path / "m.csv"]
+        argv = {
+            "similarity": ["similarity", "--data", data_dir, "--datasets", "A,B",
+                           "--out", nodir / "m.csv"],
+            "rank": ["rank", "--matrix", tmp_path / "m.csv", "--target", "A",
+                     "--out", nodir / "r.json"],
+            "report": [*report, "--out", nodir / "report.json"],
+            "aggregate": [*report, "--out", tmp_path / "report.json",
+                          "--aggregate-out", nodir / "agg.csv"],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nodir" in err
+        assert not list(tmp_path.glob("report*"))
 
     def test_module_runs_as_a_script(self):
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

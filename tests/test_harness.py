@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tstransfer.harness as harness
-from helpers import make_sine_dataset
+from helpers import make_sine_dataset, record_calls
 from tstransfer import (
     DataValidationError,
     Dataset,
@@ -41,6 +41,11 @@ def tiny_datasets(n=2, seed=50):
         )
         for k, name in enumerate("ABCD"[:n])
     ]
+
+
+def cells_of(calls):
+    """The (source, target) names of logged run_pair calls."""
+    return [(a["source"].name, a["target"].name) for _, a in calls]
 
 
 class TestAccuracyVariation:
@@ -178,13 +183,8 @@ class TestRunMatrix:
     def test_failure_isolation(self, tmp_path, monkeypatch):
         datasets = tiny_datasets(2)
         real = harness.run_pair
-
-        def flaky(source, target, config, seed, _cache=None):
-            if source.name == "A":
-                raise RuntimeError("injected failure")
-            return real(source, target, config, seed, _cache=_cache)
-
-        monkeypatch.setattr(harness, "run_pair", flaky)
+        record_calls(monkeypatch, harness, "run_pair",
+                     fail=lambda a: a["source"].name == "A")
         out = tmp_path / "fail"
         matrix = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
         assert ("B", "A") in matrix.cells
@@ -218,6 +218,55 @@ class TestRunMatrix:
         assert len(trainings) == 3
         assert len(evaluations) == 6 + 3
         assert counted.cells == uncounted.cells
+
+    def test_every_scratch_training_precedes_the_first_fine_tune(self, monkeypatch):
+        log = []
+        record_calls(monkeypatch, harness, "train", log)
+        record_calls(monkeypatch, harness, "fine_tune", log)
+        run_matrix(tiny_datasets(3), FAST, seeds=[0, 1])
+        # phase 1: 3 datasets x 2 seeds; phase 2: 6 cells x 2 seeds
+        assert [name for name, _ in log] == ["train"] * 6 + ["fine_tune"] * 12
+
+    def test_resume_of_one_stale_cell_trains_only_its_datasets(
+        self, tmp_path, monkeypatch
+    ):
+        datasets = tiny_datasets(3)
+        out = tmp_path / "res"
+        fresh = run_matrix(datasets, FAST, seeds=[0, 1], out_dir=out)
+        (out / "cells" / "A__B.json").write_text("[]")
+        log = []
+        record_calls(monkeypatch, harness, "train", log)
+        record_calls(monkeypatch, harness, "evaluate", log)
+        resumed = run_matrix(datasets, FAST, seeds=[0, 1], out_dir=out)
+        assert resumed.cells == fresh.cells
+        trained = sorted(a["config"].seed for name, a in log if name == "train")
+        assert trained == sorted(
+            derive_seed(seed, name, "train") for seed in (0, 1) for name in "AB"
+        )
+        # B's baseline, then the transfer to B, once per seed
+        evaluated = [a["split"] for name, a in log if name == "evaluate"]
+        assert len(evaluated) == 2 + 2
+        assert all(split is datasets[1].test for split in evaluated)
+
+    def test_a_failed_recompute_removes_the_stale_cell(self, tmp_path, monkeypatch):
+        datasets = tiny_datasets(2)
+        out = tmp_path / "res"
+        run_matrix(datasets, TrainConfig(epochs=1, batch_size=8), out_dir=out)
+        record_calls(monkeypatch, harness, "fine_tune", fail=lambda a: True)
+        rerun = run_matrix(datasets, TrainConfig(epochs=2, batch_size=8), out_dir=out)
+        assert set(rerun.failures) == {("A", "B"), ("B", "A")}
+        files = sorted(p.name for p in (out / "cells").iterdir())
+        assert files == ["A__B.json.failed", "B__A.json.failed"]
+        loaded = load_matrix_results(out)
+        assert loaded.cells == {} and loaded.failures == rerun.failures
+
+    def test_load_refuses_a_cell_that_completed_and_failed(self, tmp_path):
+        out = tmp_path / "both"
+        run_matrix(tiny_datasets(2), FAST, out_dir=out)
+        marker = {"source": "A", "target": "B", "error": "RuntimeError: x"}
+        (out / "cells" / "A__B.json.failed").write_text(json.dumps(marker))
+        with pytest.raises(DataValidationError, match="completed and failed"):
+            load_matrix_results(out)
 
     def test_resume_recomputes_cells_of_another_run(self, tmp_path):
         datasets = tiny_datasets(2)
@@ -256,16 +305,9 @@ class TestRunMatrix:
         path = out / "cells" / "A__B.json"
         written = path.read_bytes()
         path.write_text(content)
-        pairs = []
-        real = harness.run_pair
-
-        def counting_run_pair(source, target, *args, **kwargs):
-            pairs.append((source.name, target.name))
-            return real(source, target, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "run_pair", counting_run_pair)
+        pairs = record_calls(monkeypatch, harness, "run_pair")
         resumed = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
-        assert pairs == [("A", "B")]
+        assert cells_of(pairs) == [("A", "B")]
         assert resumed.cells == fresh.cells
         assert path.read_bytes() == written
 
@@ -369,14 +411,7 @@ class TestRunMatrix:
         datasets = tiny_datasets(3)
         matrix = run_matrix(datasets, FAST, out_dir=out)
         assert {cell["train_dtype"] for cell in matrix.cells.values()} == {"float32"}
-        real = harness.run_pair
-        computed = []
-
-        def counting(source, target, config, seed, _cache=None):
-            computed.append((source.name, target.name))
-            return real(source, target, config, seed, _cache=_cache)
-
-        monkeypatch.setattr(harness, "run_pair", counting)
+        computed = record_calls(monkeypatch, harness, "run_pair")
         path = out / "cells" / "A__B.json"
 
         def rewrite(edit):
@@ -391,10 +426,10 @@ class TestRunMatrix:
             rewrite(edit)
             computed.clear()
             assert run_matrix(datasets, FAST, out_dir=out).cells == matrix.cells
-            assert computed == [("A", "B")]
+            assert cells_of(computed) == [("A", "B")]
         computed.clear()
         run_matrix(datasets, FAST, out_dir=out)
-        assert computed == []
+        assert cells_of(computed) == []
         assert load_matrix_results(out).cells == matrix.cells
 
         rewrite(lambda r: r.update(train_dtype="float64"))
