@@ -172,7 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the trained model here (.fcn)")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("transfer", help="fine-tune a saved model on a target dataset")
+    p = sub.add_parser(
+        "transfer", help="fine-tune a saved model on a target dataset",
+        description=(
+            "Fine-tune a saved model on a target dataset. --seed s seeds the new "
+            "head with derive_seed(s, 'head') and trains with seed s. A matrix "
+            "cell derives both seeds from its source and target names as well, "
+            "and a .fcn file does not record its source dataset, so this does "
+            "not reproduce a matrix cell's fine-tuned model."
+        ),
+    )
     p.add_argument("--source", required=True, help="pretrained model file (.fcn)")
     p.add_argument("--target", required=True, help="target dataset name")
     p.add_argument("--data", required=True)

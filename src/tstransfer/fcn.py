@@ -26,17 +26,32 @@ buffer per thread that later calls reuse, so the copy does not grow with
 B*T. The backward pass keeps only the padded input: the weight gradient is K
 GEMMs over its shifted views, and the input gradient is a transposed
 convolution, the same kernel applied to the padded output gradient and the
-flipped weights. Each block's cached activations are released as soon as the
-backward pass has used them. Inference, `forward` and so `evaluate`, folds
-each block's running-stat batch-norm into the convolution's weights and bias
-once per call, copied into the layout `_correlate` multiplies, and runs the
-series in chunks of about _EVAL_STEPS time steps of one length, so its
-buffers do not grow with the series length. Model weights keep the (Cout,
-Cin, K) layout in memory and on disk.
+flipped weights. Inference, `forward` and so `evaluate`, folds each block's
+running-stat batch-norm into the convolution's weights and bias once per
+call, copied into the layout `_correlate` multiplies, and runs the series in
+chunks of about _EVAL_STEPS time steps of one length, so its buffers do not
+grow with the series length. Model weights keep the (Cout, Cin, K) layout in
+memory and on disk.
+
+Each `train`, `loss_and_gradients` or `forward` call allocates one buffer
+set, `_Buffers`, sized for its largest batch (for `forward`, one set per
+series length, sized for its largest chunk), and every step or chunk works
+in it in place, so its pages are mapped once per call. Training keeps each
+block's padded input and C-contiguous `xhat`; inference needs neither, so
+its blocks' inputs take turns in one buffer. Batch-norm and ReLU of one
+block write straight into the next block's padded input; batch-norm
+backward works in its block's `xhat` and writes the padded output gradient;
+the input gradient lands in the block's padded input, which is spent by
+then. Pad rows are therefore zeroed again for every batch before the
+forward pass writes an input. The ReLU mask is formed again in the backward
+pass from `xhat`. Every reduction sees the layout it saw with fresh arrays
+(batch-norm's sums a C-contiguous `xhat` and dy, `mu` the correlation
+rows), so results are byte-equal to fresh buffers.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -228,12 +243,22 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return kernel // 2, (kernel - 1) // 2
 
 
-def _segments(x: np.ndarray, left: int, right: int) -> np.ndarray:
-    """(B, T, C) as one (B*(left+T+right), C) array of zero-padded segments."""
-    batch, length, channels = x.shape
-    padded = np.zeros((batch, left + length + right, channels), dtype=x.dtype)
-    padded[:, left : left + length] = x
-    return padded.reshape(-1, channels)
+def _view(buf: np.ndarray, shape, dtype, offset: int = 0) -> np.ndarray:
+    """Array of this shape and dtype over the bytes of buf from offset on."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return buf[offset : offset + nbytes].view(dtype).reshape(shape)
+
+
+def _rows(seg: np.ndarray) -> np.ndarray:
+    """(B, S, C) segments as one stacked (B*S, C) array."""
+    return seg.reshape(-1, seg.shape[2])
+
+
+def _zero_pads(seg: np.ndarray, lead: int, length: int) -> np.ndarray:
+    """Zero each segment's rows outside lead..lead+T-1; return those rows."""
+    seg[:, :lead] = 0
+    seg[:, lead + length :] = 0
+    return seg[:, lead : lead + length]
 
 
 def _scratch(shape: tuple[int, int], dtype) -> np.ndarray:
@@ -247,25 +272,27 @@ def _scratch(shape: tuple[int, int], dtype) -> np.ndarray:
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.nbytes < nbytes:
         buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
+    return _view(buf, shape, dtype)
 
 
-def _correlate(padded: np.ndarray, wk: np.ndarray) -> np.ndarray:
+def _correlate(padded: np.ndarray, wk: np.ndarray, out=None) -> np.ndarray:
     """(R, Co) array whose row q < R-K+1 is sum_k padded[q+k] @ wk[k].
 
-    padded is a C-contiguous (R, Ci) array and wk is (K, Ci, Co); the last
-    K-1 rows are left unset. The K-fold copy is made on the narrower side,
-    in balanced blocks of rows whose copy fits in _CORRELATE_BYTES, in the
-    thread's scratch buffer, reused for every block. When Ci <= Co, each
-    block's windows padded[q : q+K] are copied end to end into a
-    (rows, K*Ci) im2col matrix, and one GEMM writes the block's output
-    rows. When Ci > Co, one GEMM of the block's rows plus the K-1 after
-    them fills K*Co columns, then the K column blocks are added, block k
-    shifted up by k rows.
+    padded is a C-contiguous (R, Ci) array and wk is (K, Ci, Co); the rows
+    are written to out, a C-contiguous (R, Co) array, or to a new one, and
+    the last K-1 rows are left unset. The K-fold copy is made on the
+    narrower side, in balanced blocks of rows whose copy fits in
+    _CORRELATE_BYTES, in the thread's scratch buffer, reused for every
+    block. When Ci <= Co, each block's windows padded[q : q+K] are copied
+    end to end into a (rows, K*Ci) im2col matrix, and one GEMM writes the
+    block's output rows. When Ci > Co, one GEMM of the block's rows plus the
+    K-1 after them fills K*Co columns, then the K column blocks are added,
+    block k shifted up by k rows.
     """
     kernel, in_ch, out_ch = wk.shape
     rows = padded.shape[0] - kernel + 1
-    out = np.empty((padded.shape[0], out_ch), dtype=np.result_type(padded, wk))
+    if out is None:
+        out = np.empty((padded.shape[0], out_ch), dtype=np.result_type(padded, wk))
     im2col = in_ch <= out_ch
     width = kernel * (in_ch if im2col else out_ch)
     copy_bytes = rows * width * (padded.itemsize if im2col else out.itemsize)
@@ -313,26 +340,33 @@ def _unsegment(rows: np.ndarray, batch: int, length: int, kernel: int) -> np.nda
     return rows.reshape(batch, length + kernel - 1, -1)[:, :length]
 
 
-def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, padded=None,
+                   out=None):
     """Stride-1 zero-padded convolution, output length equals input length.
 
     x: (B, T, Cin) channels-last, w: (Cout, Cin, K). A single-channel
     batch may also come as (B, 1, T), which has the same memory layout. The
     input is laid out as B zero-padded segments of T+K-1 rows each, stacked
-    into one buffer, so output row q is sum_k padded[q+k] @ w[:, :, k].T
-    and the whole batch goes through `_correlate` at once. The K-1 rows
-    after each segment's T outputs straddle two series; they are computed
-    and dropped. Returns (out (B, T, Cout), padded) where padded is the
-    (B*(T+K-1), Cin) segment buffer, reused by the backward pass.
+    into one (B*(T+K-1), Cin) buffer, so output row q is
+    sum_k padded[q+k] @ w[:, :, k].T and the whole batch goes through
+    `_correlate` at once, into `out` when given. The K-1 rows after each
+    segment's T outputs straddle two series; they are computed and dropped.
+    A caller that passes `padded` has zeroed its pad rows and written x
+    into the rest, x being that view of it; otherwise x is copied into a
+    new one. Returns (out (B, T, Cout), padded); backward reuses padded.
     """
     out_ch, in_ch, kernel = w.shape
     batch = x.shape[0]
     x = x.reshape(batch, -1, in_ch)
     length = x.shape[1]
-    padded = _segments(x, *_pad_amounts(kernel))
-    out = _unsegment(_correlate(padded, w.transpose(2, 1, 0)), batch, length, kernel)
-    out += b
-    return out, padded
+    if padded is None:
+        seg = np.empty((batch, length + kernel - 1, in_ch), x.dtype)
+        _zero_pads(seg, kernel // 2, length)[...] = x
+        padded = _rows(seg)
+    rows = _correlate(padded, w.transpose(2, 1, 0), out)
+    y = _unsegment(rows, batch, length, kernel)
+    y += b
+    return y, padded
 
 
 def conv1d_backward(
@@ -342,49 +376,59 @@ def conv1d_backward(
     x_shape,
     *,
     input_grad: bool = True,
+    grad=None,
 ):
     """Gradients of the padded convolution w.r.t. input, weights, and bias.
 
-    dout is (B, T, Cout), padded the segment buffer returned by the forward
-    pass and x_shape the shape of the forward's input. dout is zero-padded
-    into segments that mirror the forward's (`right` zeros before, `left`
+    dout is (B, T, Cout), padded the segment buffer of the forward pass and
+    x_shape the shape of the forward's input. The gradient buffer holds
+    dout in segments that mirror the forward's (`right` zeros before, `left`
     after). Read from row `right` on, that one buffer holds dout in each
     segment's first T rows and zeros in the straddling rows, so
     dW[:, :, k] is one GEMM of the shifted, contiguous view padded[k:] with
     it, K GEMMs in all. dx is the transposed convolution: the correlation of
     the padded dout with the kernel-flipped, transposed weights, returned in
-    x_shape. With input_grad=False, dx is not computed and None is returned
-    in its place.
+    x_shape. A caller that passes `grad`, that padded gradient with dout as
+    its view, has spent padded, and dx is written over it, pad rows too;
+    otherwise dout is copied into a new buffer and dx is a new array. With
+    input_grad=False, dx is not computed and None is returned in its place.
     """
     batch, length, _ = dout.shape
     out_ch, in_ch, kernel = w.shape
-    left, right = _pad_amounts(kernel)
-    flat = _segments(dout, right, left)
+    right = _pad_amounts(kernel)[1]
+    dx_rows = None if grad is None else padded
+    if grad is None:
+        seg = np.empty((batch, length + kernel - 1, out_ch), dout.dtype)
+        _zero_pads(seg, right, length)[...] = dout
+        grad = _rows(seg)
     rows = padded.shape[0] - kernel + 1
     db = dout.sum(axis=(0, 1))
-    grad_rows = flat[right : right + rows]
+    grad_rows = grad[right : right + rows]
     dw = np.empty((kernel, in_ch, out_ch), dtype=np.result_type(padded, grad_rows))
     for k in range(kernel):
         np.matmul(padded[k : k + rows].T, grad_rows, out=dw[k])
     dw = np.ascontiguousarray(dw.transpose(2, 1, 0))
     if not input_grad:
         return None, dw, db
-    dx = _correlate(flat, w[:, :, ::-1].transpose(2, 0, 1))
+    dx = _correlate(grad, w[:, :, ::-1].transpose(2, 0, 1), dx_rows)
     return _unsegment(dx, batch, length, kernel).reshape(x_shape), dw, db
 
 
-def batchnorm_forward_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+def batchnorm_forward_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, *,
+                            xhat=None, out=None):
     """Normalize per channel with batch statistics over (batch, time).
 
     x is (B, T, C). Returns (y, xhat, inv_std, batch_mean, batch_var);
-    batch_var is the population variance.
+    batch_var is the population variance. xhat and y are written to the
+    given C-contiguous (B, T, C) arrays, else to new ones; out may overlap
+    x, which is spent once xhat is formed.
     """
     mu = x.mean(axis=(0, 1))
-    xhat = x - mu
+    xhat = np.subtract(x, mu, out=xhat)
     var = np.einsum("btc,btc->c", xhat, xhat) / (x.shape[0] * x.shape[1])
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat *= inv_std
-    y = xhat * gamma
+    y = np.multiply(xhat, gamma, out=out)
     y += beta
     return y, xhat, inv_std, mu, var
 
@@ -409,15 +453,19 @@ def _fold_batchnorm(model: FcnModel, i: int) -> tuple[np.ndarray, np.ndarray]:
     return w, b
 
 
-def batchnorm_backward(dy, xhat, inv_std, gamma):
-    """Backprop through the batch-statistics normalization path (B, T, C)."""
+def batchnorm_backward(dy, xhat, inv_std, gamma, *, out=None):
+    """Backprop through the batch-statistics normalization path (B, T, C).
+
+    Works in place in xhat, which it spends. dx is written to out, which may
+    overlap dy, or to a new array.
+    """
     n = dy.shape[0] * dy.shape[1]
     dgamma = np.einsum("btc,btc->c", dy, xhat)
     dbeta = dy.sum(axis=(0, 1))
-    dx = xhat * (dgamma / n)
-    np.subtract(dy, dx, out=dx)
-    dx -= dbeta / n
-    dx *= gamma * inv_std
+    xhat *= dgamma / n
+    np.subtract(dy, xhat, out=xhat)
+    xhat -= dbeta / n
+    dx = np.multiply(xhat, gamma * inv_std, out=out)
     return dx, dgamma, dbeta
 
 
@@ -468,31 +516,92 @@ def _split_pairs(split) -> tuple[list, list[int]]:
     return series, labels
 
 
-def _train_forward(model: FcnModel, x: np.ndarray):
+class _Buffers:
+    """The buffer set of one call (see the module docstring).
+
+    `fit(B, T)` sizes it for batches of up to max(B, batch) series of length
+    T and keeps it while later batches fit; a new length frees it first. A
+    batch takes views of the leading bytes. The transient holds one block's
+    correlation rows, its ReLU mask (block 3's after its activations), then
+    dy and the padded output gradient.
+    """
+
+    def __init__(self, model: FcnModel, train: bool, batch: int = 1):
+        self.dtype, self.widths, self.train = model.dtype, (1, *model.filters), train
+        self.floor, self.batch, self.length = batch, 0, None
+
+    def fit(self, batch: int, length: int) -> None:
+        if length == self.length and batch <= self.batch:
+            return
+        self.inputs = self.xhat = self.transient = None  # freed first
+        self.batch, self.length = max(batch, self.floor), length
+        item = self.dtype.itemsize
+        segs = [self.batch * (length + k - 1) * item for k in KERNEL_SIZES]
+        inputs = [s * c for s, c in zip(segs, self.widths)]
+        needs = [s * c for s, c in zip(segs, self.widths[1:])]
+        if self.train:
+            self.inputs = [np.empty(n, np.uint8) for n in inputs]
+            self.xhat = [np.empty(self.batch * length * c, self.dtype)
+                         for c in self.widths[1:]]
+            needs.append(self.batch * length * self.widths[3] * (item + 1))
+        else:
+            self.inputs = [np.empty(max(inputs), np.uint8)] * 3
+        self.transient = np.empty(max(needs), np.uint8)
+
+    def block_input(self, i: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block i's padded input, its pad rows zeroed, and its x view."""
+        shape = (batch, self.length + KERNEL_SIZES[i] - 1, self.widths[i])
+        seg = _view(self.inputs[i], shape, self.dtype)
+        return _rows(seg), _zero_pads(seg, KERNEL_SIZES[i] // 2, self.length)
+
+    def output(self, i: int, batch: int) -> np.ndarray:
+        """Block i's (B, T+K-1, Cout) output segments in the transient."""
+        shape = (batch, self.length + KERNEL_SIZES[i] - 1, self.widths[i + 1])
+        return _view(self.transient, shape, self.dtype)
+
+    def act(self, i: int, batch: int, dtype=None, offset: int = 0) -> np.ndarray:
+        """A (B, T, Cout) array of block i in the transient."""
+        shape = (batch, self.length, self.widths[i + 1])
+        return _view(self.transient, shape, dtype or self.dtype, offset)
+
+
+def _train_forward(model: FcnModel, x: np.ndarray, bufs: _Buffers | None = None):
     """Logits of x (B, T, 1) with batch-statistics batch-norm, for training.
 
-    Updates the running statistics in place. Returns (logits, (caches, gap,
-    length)): what backprop needs.
+    Updates the running statistics in place. Each block's batch-norm and
+    ReLU write straight into the next block's padded input. The padded
+    inputs and normalized outputs stay in bufs (new ones when None) for the
+    backward pass. Returns (logits, (caches, gap)); caches holds (padded,
+    xhat, inv_std) per block.
     """
+    batch, length, _ = x.shape
+    bufs = bufs or _Buffers(model, train=True)
+    bufs.fit(batch, length)
+    padded, inp = bufs.block_input(0, batch)
+    inp[...] = x
     caches = []
-    out = x
-    for k in (1, 2, 3):
-        conv_in_shape = out.shape
-        out, padded = conv1d_forward(
-            out, model[f"conv{k}.weight"], model[f"conv{k}.bias"]
+    for i in range(3):
+        k = i + 1
+        out, conv_padded = conv1d_forward(
+            inp, model[f"conv{k}.weight"], model[f"conv{k}.bias"], padded=padded,
+            out=_rows(bufs.output(i, batch)),
         )
-        out, xhat, inv_std, mu, var = batchnorm_forward_train(
-            out, model[f"bn{k}.gamma"], model[f"bn{k}.beta"]
+        if k < 3:
+            padded, inp = bufs.block_input(k, batch)
+        else:  # block 3's activations go to the transient, whose rows are spent
+            inp = bufs.act(i, batch)
+        xhat = bufs.xhat[i][: inp.size].reshape(inp.shape)
+        y, xhat, inv_std, mu, var = batchnorm_forward_train(
+            out, model[f"bn{k}.gamma"], model[f"bn{k}.beta"], xhat=xhat, out=inp
         )
         for stat, batch_stat in (("running_mean", mu), ("running_var", var)):
             name = f"bn{k}.{stat}"
             model[name] = BN_MOMENTUM * model[name] + (1 - BN_MOMENTUM) * batch_stat
-        mask = out > 0
-        out *= mask
-        caches.append((conv_in_shape, padded, xhat, inv_std, mask))
-    gap = out.mean(axis=1)  # (B, F3)
+        y *= np.greater(y, 0, out=bufs.act(i, batch, bool, 0 if k < 3 else y.nbytes))
+        caches.append((conv_padded, xhat, inv_std))
+    gap = y.mean(axis=1)  # (B, F3)
     logits = gap @ model["head.weight"] + model["head.bias"]
-    return logits, (caches, gap, out.shape[1])
+    return logits, (caches, gap)
 
 
 def _folded_blocks(model: FcnModel) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -500,12 +609,25 @@ def _folded_blocks(model: FcnModel) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(_correlate_layout(w), b) for w, b in folded]
 
 
-def _eval_logits(model: FcnModel, x: np.ndarray, folded) -> np.ndarray:
-    """Eval-mode logits of x (B, T, 1) from `_folded_blocks(model)`."""
-    out = x
-    for w, b in folded:
-        out, _ = conv1d_forward(out, w, b)
-        np.maximum(out, 0.0, out=out)
+def _eval_logits(model: FcnModel, x: np.ndarray, folded, bufs=None) -> np.ndarray:
+    """Eval-mode logits of x (B, T, 1) from `_folded_blocks(model)`.
+
+    Each block's ReLU writes straight into the next block's padded input,
+    in bufs (new ones when None).
+    """
+    batch, length, _ = x.shape
+    bufs = bufs or _Buffers(model, train=False)
+    bufs.fit(batch, length)
+    padded, inp = bufs.block_input(0, batch)
+    inp[...] = x
+    for i, (w, b) in enumerate(folded):
+        out, _ = conv1d_forward(
+            inp, w, b, padded=padded, out=_rows(bufs.output(i, batch))
+        )
+        if i < 2:
+            padded, inp = bufs.block_input(i + 1, batch)
+            np.maximum(out, 0.0, out=inp)
+    np.maximum(out, 0.0, out=out)
     return out.mean(axis=1) @ model["head.weight"] + model["head.bias"]
 
 
@@ -514,16 +636,18 @@ def forward(model: FcnModel, batch) -> np.ndarray:
 
     The batch holds arrays or LabeledSeries of one or of mixed lengths. It
     runs in the chunks of `_eval_chunks`, with the running-stat batch-norm
-    folded into the convolutions; the model is not changed.
+    folded into the convolutions, and the chunks of one length reuse one
+    buffer set; the model is not changed.
     """
     series = [s.series if isinstance(s, LabeledSeries) else s for s in batch]
     if not series:
         raise ValueError("empty batch")
     folded = _folded_blocks(model)
     probs = np.empty((len(series), model.class_count), dtype=model.dtype)
+    bufs = _Buffers(model, train=False)
     for idx in _eval_chunks([len(s) for s in series]):
         x = _stack_batch([series[i] for i in idx], model.dtype)
-        probs[idx] = np.exp(_log_softmax(_eval_logits(model, x, folded)))
+        probs[idx] = np.exp(_log_softmax(_eval_logits(model, x, folded, bufs)))
     return probs
 
 
@@ -541,14 +665,18 @@ def loss_and_gradients(model: FcnModel, batch):
     return loss, grads
 
 
-def _loss_and_gradients_impl(model: FcnModel, batch):
-    """loss_and_gradients plus the batch's correct-prediction count."""
+def _loss_and_gradients_impl(model: FcnModel, batch, bufs: _Buffers | None = None):
+    """loss_and_gradients plus the batch's correct-prediction count.
+
+    Runs in bufs, or in a new buffer set sized for this batch.
+    """
     series, labels = _split_pairs(batch)
     labels = _checked_labels(labels, model.class_count)
     x = _stack_batch(series, model.dtype)
-    batch_size = x.shape[0]
+    batch_size, length, _ = x.shape
+    bufs = bufs or _Buffers(model, train=True)
 
-    logits, (caches, gap, length) = _train_forward(model, x)
+    logits, (caches, gap) = _train_forward(model, x, bufs)
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(batch_size), labels].mean())
     correct = int((logits.argmax(axis=1) == labels).sum())
@@ -563,18 +691,29 @@ def _loss_and_gradients_impl(model: FcnModel, batch):
     grads["head.bias"] = dlogits.sum(axis=0)
     dgap = dlogits @ model["head.weight"].T
 
-    # Each block's cache is released once the backward pass has used it.
     dout = (dgap / length)[:, None, :]
-    for k in (3, 2, 1):
-        conv_in_shape, padded, xhat, inv_std, mask = caches.pop()
-        dout = dout * mask
-        dout, dgamma, dbeta = batchnorm_backward(
-            dout, xhat, inv_std, model[f"bn{k}.gamma"]
-        )
-        del xhat, mask
-        # The network input needs no gradient.
+    for i in (2, 1, 0):
+        k = i + 1
+        padded, xhat, inv_std = caches.pop()
+        gamma = model[f"bn{k}.gamma"]
+        # The ReLU mask as 1 or 0, from the activations formed again exactly
+        # as the forward pass formed them.
+        dy = bufs.act(i, batch_size)
+        np.multiply(xhat, gamma, out=dy)
+        dy += model[f"bn{k}.beta"]
+        np.greater(dy, 0, out=dy)
+        np.multiply(dout, dy, out=dy)
+        # The padded gradient shares the transient with dy, so its pad rows
+        # are zeroed once batch-norm backward has spent dy.
+        seg = bufs.output(i, batch_size)
+        right = _pad_amounts(KERNEL_SIZES[i])[1]
+        dbn = seg[:, right : right + length]
+        _, dgamma, dbeta = batchnorm_backward(dy, xhat, inv_std, gamma, out=dbn)
+        _zero_pads(seg, right, length)
+        # dx lands in the spent padded input; the network input needs none.
         dout, dw, db = conv1d_backward(
-            dout, padded, model[f"conv{k}.weight"], conv_in_shape, input_grad=k > 1
+            dbn, padded, model[f"conv{k}.weight"], (batch_size, length, bufs.widths[i]),
+            input_grad=k > 1, grad=_rows(seg),
         )
         grads[f"bn{k}.gamma"] = dgamma
         grads[f"bn{k}.beta"] = dbeta
@@ -661,6 +800,9 @@ def train(model: FcnModel, train_split, config: TrainConfig):
         return model, TrainHistory()
 
     work = clone_model(model, TRAIN_DTYPE)
+    # One buffer set serves every step; a folded batch holds batch_size + 1.
+    sizes = map(len, _epoch_batches(np.arange(len(items)), config.batch_size))
+    bufs = _Buffers(work, train=True, batch=max(sizes))
     rng = np.random.default_rng(config.seed)
     state = init_adam_state(work)
     history = TrainHistory()
@@ -675,7 +817,7 @@ def train(model: FcnModel, train_split, config: TrainConfig):
         correct = 0
         for idx in _epoch_batches(perm, config.batch_size):
             batch = [items[i] for i in idx]
-            loss, grads, batch_correct = _loss_and_gradients_impl(work, batch)
+            loss, grads, batch_correct = _loss_and_gradients_impl(work, batch, bufs)
             step += 1
             adam_step(work, grads, state, step, config)
             loss_sum += loss * len(idx)

@@ -201,10 +201,13 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
     rows = np.arange(len(labels))
 
     def probe():
-        logits, (caches, _, _) = _train_forward(work, x)
+        logits, (caches, _) = _train_forward(work, x)
         logp = _log_softmax(logits)
         loss = float(-logp[rows, labels].mean())
-        pattern = b"".join(cache[4].tobytes() for cache in caches)
+        pattern = b"".join(
+            (xhat * work[f"bn{k}.gamma"] + work[f"bn{k}.beta"] > 0).tobytes()
+            for k, (_, xhat, _) in enumerate(caches, start=1)
+        )
         return loss, pattern
 
     fd: dict[str, np.ndarray] = {}

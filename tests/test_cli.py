@@ -12,6 +12,9 @@ from helpers import make_sine_dataset, record_calls
 from tstransfer import (
     DbaConfig,
     TrainConfig,
+    derive_seed,
+    fine_tune,
+    load_model,
     load_ucr_dataset,
     run_matrix,
     save_model,
@@ -80,6 +83,20 @@ class TestTrainAndTransfer:
         assert model_path.read_bytes() == matrix_path.read_bytes()
         baseline = matrix.cells[("B", "A")]["baseline_accuracy"]
         assert f"test accuracy {baseline:.4f}" in printed
+
+    def test_transfer_writes_fine_tune_with_the_head_seed(self, tmp_path, data_dir):
+        source, tuned = tmp_path / "a.fcn", tmp_path / "ab.fcn"
+        assert run(["train", "A", "--data", data_dir, "--epochs", "1",
+                    "--batch", "8", "--out", source]) == 0
+        assert run(["transfer", "--source", source, "--target", "B", "--data",
+                    data_dir, "--epochs", "2", "--batch", "8", "--seed", "4",
+                    "--out", tuned]) == 0
+        target = load_ucr_dataset(data_dir / "B_TRAIN.tsv", data_dir / "B_TEST.tsv", "B")
+        config = TrainConfig(epochs=2, batch_size=8, seed=4)
+        model, _ = fine_tune(load_model(source), target, config, derive_seed(4, "head"))
+        expected = tmp_path / "expected.fcn"
+        save_model(model, expected)
+        assert tuned.read_bytes() == expected.read_bytes()
 
     def test_unknown_dataset_is_reported(self, data_dir, capsys):
         rc = run(["train", "Nope", "--data", data_dir, "--epochs", "1"])
