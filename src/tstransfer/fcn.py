@@ -18,20 +18,19 @@ pooling. Each convolution lays its input out as B zero-padded segments of
 T+K-1 rows stacked in one buffer, and one kernel, `_correlate`, computes
 sum_k padded[q+k] @ wk[k] for every row q of the whole batch; the K-1 output
 rows between two segments straddle two series and are dropped. The kernel
-makes its K-fold copy on the narrower side: an im2col matrix of the input
-(K*Cin columns) when Cin <= Cout, otherwise one GEMM into K*Cout columns
-whose K column blocks are added with a shift of k rows. It makes that copy
-in balanced blocks of rows, each under _CORRELATE_BYTES, in one scratch
-buffer per thread that later calls reuse, so the copy does not grow with
-B*T. The backward pass keeps only the padded input: the weight gradient is K
-GEMMs over its shifted views, and the input gradient is a transposed
-convolution, the same kernel applied to the padded output gradient and the
-flipped weights. Inference, `forward` and so `evaluate`, folds each block's
-running-stat batch-norm into the convolution's weights and bias once per
-call, copied into the layout `_correlate` multiplies, and runs the series in
-chunks of about _EVAL_STEPS time steps of one length, so its buffers do not
-grow with the series length. Model weights keep the (Cout, Cin, K) layout in
-memory and on disk.
+copies nothing. When Cin <= Cout, the output rows of each phase r (rows r,
+r+K, r+2K, ...) read the padded rows from r on end to end, so a plain slice
+of the C-contiguous buffer is their im2col matrix, and one GEMM per phase
+writes them; otherwise K tap GEMMs over shifted views of the buffer are
+added in tap order, through one output-sized tap buffer. The backward pass
+keeps only the padded input: the weight gradient is K GEMMs over its shifted
+views, and the input gradient is a transposed convolution, the same kernel
+applied to the padded output gradient and the flipped weights. Inference,
+`forward` and so `evaluate`, folds each block's running-stat batch-norm into
+the convolution's weights and bias once per call, copied into the layout
+`_correlate` multiplies, and runs the series in chunks of about _EVAL_STEPS
+time steps of one length, so its buffers do not grow with the series length.
+Model weights keep the (Cout, Cin, K) layout in memory and on disk.
 
 Each `train`, `loss_and_gradients` or `forward` call allocates one buffer
 set, `_Buffers`, sized for its largest batch (for `forward`, one set per
@@ -39,25 +38,25 @@ series length, sized for its largest chunk), and every step or chunk works
 in it in place, so its pages are mapped once per call. Training keeps each
 block's padded input and C-contiguous `xhat`; inference needs neither, so
 its blocks' inputs take turns in one buffer. Batch-norm and ReLU of one
-block write straight into the next block's padded input; batch-norm
-backward works in its block's `xhat` and writes the padded output gradient;
-the input gradient lands in the block's padded input, which is spent by
-then. Pad rows are therefore zeroed again for every batch before the
-forward pass writes an input. The ReLU mask is formed again in the backward
-pass from `xhat`. Every reduction sees the layout it saw with fresh arrays
-(batch-norm's sums a C-contiguous `xhat` and dy, `mu` the correlation
-rows), so results are byte-equal to fresh buffers.
+block write straight into the next block's padded input; batch-norm backward
+works in its block's `xhat` and writes the padded output gradient; the input
+gradient lands in the block's padded input, which is spent by then. Pad rows
+are therefore zeroed again for every batch before the forward pass writes an
+input. A correlation's tap buffer is memory that is spent at that point:
+forward, the transient after the block's output; backward, the next block's
+padded input. The ReLU mask is formed again in the backward pass from
+`xhat`. Every reduction sees the layout it saw with fresh arrays
+(batch-norm's sums a C-contiguous `xhat` and dy, `mu` the correlation rows),
+so results are byte-equal to fresh buffers.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LabeledSeries
 
@@ -87,8 +86,6 @@ BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
 TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
 _EVAL_STEPS = 2048  # time steps per evaluation chunk: 16 series at T=128
-_CORRELATE_BYTES = 2 * 2**20  # bytes of `_correlate`'s K-fold copy per block
-_SCRATCH = threading.local()  # each thread's `_correlate` scratch buffer
 
 
 class FcnModel(dict):
@@ -261,78 +258,50 @@ def _zero_pads(seg: np.ndarray, lead: int, length: int) -> np.ndarray:
     return seg[:, lead : lead + length]
 
 
-def _scratch(shape: tuple[int, int], dtype) -> np.ndarray:
-    """Uninitialized array of this shape in the calling thread's scratch buffer.
-
-    The buffer grows to the largest request, at most one block, and is
-    kept, so later calls reuse pages that are already mapped; a fresh
-    block-sized array per call is faulted in anew on every call.
-    """
-    nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.nbytes < nbytes:
-        buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
-    return _view(buf, shape, dtype)
-
-
-def _correlate(padded: np.ndarray, wk: np.ndarray, out=None) -> np.ndarray:
+def _correlate(padded: np.ndarray, wk: np.ndarray, out=None, tap=None) -> np.ndarray:
     """(R, Co) array whose row q < R-K+1 is sum_k padded[q+k] @ wk[k].
 
     padded is a C-contiguous (R, Ci) array and wk is (K, Ci, Co); the rows
     are written to out, a C-contiguous (R, Co) array, or to a new one, and
-    the last K-1 rows are left unset. The K-fold copy is made on the
-    narrower side, in balanced blocks of rows whose copy fits in
-    _CORRELATE_BYTES, in the thread's scratch buffer, reused for every
-    block. When Ci <= Co, each block's windows padded[q : q+K] are copied
-    end to end into a (rows, K*Ci) im2col matrix, and one GEMM writes the
-    block's output rows. When Ci > Co, one GEMM of the block's rows plus the
-    K-1 after them fills K*Co columns, then the K column blocks are added,
-    block k shifted up by k rows.
+    the last K-1 rows are left unset. Nothing is copied. When Ci <= Co, the
+    output rows q = r, r+K, r+2K, ... of phase r read the padded rows from r
+    on, K at a time and end to end, so one plain slice of padded is their
+    (n, K*Ci) im2col matrix, and one GEMM per phase writes them. When
+    Ci > Co, the K tap GEMMs padded[k : k+R-K+1] @ wk[k] are added in tap
+    order, each tap's product going through tap, a C-contiguous
+    (R-K+1, Co) array, or a new one.
     """
     kernel, in_ch, out_ch = wk.shape
     rows = padded.shape[0] - kernel + 1
     if out is None:
         out = np.empty((padded.shape[0], out_ch), dtype=np.result_type(padded, wk))
-    im2col = in_ch <= out_ch
-    width = kernel * (in_ch if im2col else out_ch)
-    copy_bytes = rows * width * (padded.itemsize if im2col else out.itemsize)
-    count = max(min(-(-copy_bytes // _CORRELATE_BYTES), rows), 1)
-    bounds = [j * rows // count for j in range(count + 1)]
-    block = -(-rows // count)
-    if im2col:
-        wmat = wk.reshape(width, out_ch)
-        # Row q of the strided view is padded[q : q+K] end to end.
-        windows = sliding_window_view(padded.reshape(-1), width)[::in_ch]
-        scratch = _scratch((block, width), padded.dtype)
-        for r0, r1 in zip(bounds, bounds[1:]):
-            cols = scratch[: r1 - r0]
-            np.copyto(cols, windows[r0:r1])
-            np.matmul(cols, wmat, out=out[r0:r1])
+    if not (padded.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("_correlate needs C-contiguous padded and out arrays")
+    wk = np.ascontiguousarray(wk)
+    if in_ch <= out_ch:
+        flat, wmat = padded.reshape(-1), wk.reshape(kernel * in_ch, out_ch)
+        for r in range(min(kernel, rows)):
+            n = -(-(rows - r) // kernel)
+            cols = flat[r * in_ch : (r + n * kernel) * in_ch].reshape(n, -1)
+            np.matmul(cols, wmat, out=out[r:rows:kernel])
         return out
-    wmat = wk.transpose(1, 0, 2).reshape(in_ch, width)
-    scratch = _scratch((block + kernel - 1, width), out.dtype)
-    for r0, r1 in zip(bounds, bounds[1:]):
-        n = r1 - r0
-        y = scratch[: n + kernel - 1]
-        np.matmul(padded[r0 : r1 + kernel - 1], wmat, out=y)
-        out[r0:r1] = y[:n, :out_ch]
-        for k in range(1, kernel):
-            out[r0:r1] += y[k : k + n, k * out_ch : (k + 1) * out_ch]
+    if tap is None:
+        tap = np.empty((rows, out_ch), out.dtype)
+    np.matmul(padded[:rows], wk[0], out=out[:rows])
+    for k in range(1, kernel):
+        out[:rows] += np.matmul(padded[k : k + rows], wk[k], out=tap)
     return out
 
 
 def _correlate_layout(w: np.ndarray) -> np.ndarray:
     """w (Cout, Cin, K) as a view of a copy laid out as `_correlate` reads it.
 
-    `conv1d_forward` passes w.transpose(2, 1, 0) to `_correlate`, whose GEMM
-    operand is then a (K*Cin, Cout) or a (Cin, K*Cout) matrix. On the
-    model's own (Cout, Cin, K) arrays that operand is a copy made on every
-    call; on this view it is a free reshape of the same values.
+    `conv1d_forward` passes w.transpose(2, 1, 0) to `_correlate`, which
+    multiplies it as a C-contiguous (K, Cin, Cout) array. On the model's own
+    (Cout, Cin, K) arrays that is a copy made on every call; on this view it
+    is the array itself.
     """
-    out_ch, in_ch, _ = w.shape
-    if in_ch <= out_ch:
-        return np.ascontiguousarray(w.transpose(2, 1, 0)).transpose(2, 1, 0)
-    return np.ascontiguousarray(w.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return np.ascontiguousarray(w.transpose(2, 1, 0)).transpose(2, 1, 0)
 
 
 def _unsegment(rows: np.ndarray, batch: int, length: int, kernel: int) -> np.ndarray:
@@ -341,7 +310,7 @@ def _unsegment(rows: np.ndarray, batch: int, length: int, kernel: int) -> np.nda
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, padded=None,
-                   out=None):
+                   out=None, tap=None):
     """Stride-1 zero-padded convolution, output length equals input length.
 
     x: (B, T, Cin) channels-last, w: (Cout, Cin, K). A single-channel
@@ -349,11 +318,12 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, padded=None,
     input is laid out as B zero-padded segments of T+K-1 rows each, stacked
     into one (B*(T+K-1), Cin) buffer, so output row q is
     sum_k padded[q+k] @ w[:, :, k].T and the whole batch goes through
-    `_correlate` at once, into `out` when given. The K-1 rows after each
-    segment's T outputs straddle two series; they are computed and dropped.
-    A caller that passes `padded` has zeroed its pad rows and written x
-    into the rest, x being that view of it; otherwise x is copied into a
-    new one. Returns (out (B, T, Cout), padded); backward reuses padded.
+    `_correlate` at once, into `out` and through `tap` when given. The K-1
+    rows after each segment's T outputs straddle two series; they are
+    computed and dropped. A caller that passes `padded` has zeroed its pad
+    rows and written x into the rest, x being that view of it; otherwise x
+    is copied into a new one. Returns (out (B, T, Cout), padded); backward
+    reuses padded.
     """
     out_ch, in_ch, kernel = w.shape
     batch = x.shape[0]
@@ -363,7 +333,7 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, padded=None,
         seg = np.empty((batch, length + kernel - 1, in_ch), x.dtype)
         _zero_pads(seg, kernel // 2, length)[...] = x
         padded = _rows(seg)
-    rows = _correlate(padded, w.transpose(2, 1, 0), out)
+    rows = _correlate(padded, w.transpose(2, 1, 0), out, tap)
     y = _unsegment(rows, batch, length, kernel)
     y += b
     return y, padded
@@ -377,6 +347,7 @@ def conv1d_backward(
     *,
     input_grad: bool = True,
     grad=None,
+    tap=None,
 ):
     """Gradients of the padded convolution w.r.t. input, weights, and bias.
 
@@ -390,8 +361,9 @@ def conv1d_backward(
     the padded dout with the kernel-flipped, transposed weights, returned in
     x_shape. A caller that passes `grad`, that padded gradient with dout as
     its view, has spent padded, and dx is written over it, pad rows too;
-    otherwise dout is copied into a new buffer and dx is a new array. With
-    input_grad=False, dx is not computed and None is returned in its place.
+    otherwise dout is copied into a new buffer and dx is a new array. `tap`
+    goes to `_correlate`. With input_grad=False, dx is not computed and None
+    is returned in its place.
     """
     batch, length, _ = dout.shape
     out_ch, in_ch, kernel = w.shape
@@ -410,7 +382,7 @@ def conv1d_backward(
     dw = np.ascontiguousarray(dw.transpose(2, 1, 0))
     if not input_grad:
         return None, dw, db
-    dx = _correlate(grad, w[:, :, ::-1].transpose(2, 0, 1), dx_rows)
+    dx = _correlate(grad, w[:, :, ::-1].transpose(2, 0, 1), dx_rows, tap)
     return _unsegment(dx, batch, length, kernel).reshape(x_shape), dw, db
 
 
@@ -522,8 +494,9 @@ class _Buffers:
     `fit(B, T)` sizes it for batches of up to max(B, batch) series of length
     T and keeps it while later batches fit; a new length frees it first. A
     batch takes views of the leading bytes. The transient holds one block's
-    correlation rows, its ReLU mask (block 3's after its activations), then
-    dy and the padded output gradient.
+    correlation rows (block 3's activations are written over them) and, when
+    Cin > Cout, its tap rows after them; then dy and the padded output
+    gradient.
     """
 
     def __init__(self, model: FcnModel, train: bool, batch: int = 1):
@@ -538,12 +511,12 @@ class _Buffers:
         item = self.dtype.itemsize
         segs = [self.batch * (length + k - 1) * item for k in KERNEL_SIZES]
         inputs = [s * c for s, c in zip(segs, self.widths)]
-        needs = [s * c for s, c in zip(segs, self.widths[1:])]
+        pairs = zip(segs, self.widths, self.widths[1:])
+        needs = [s * co * (1 + (ci > co)) for s, ci, co in pairs]
         if self.train:
             self.inputs = [np.empty(n, np.uint8) for n in inputs]
             self.xhat = [np.empty(self.batch * length * c, self.dtype)
                          for c in self.widths[1:]]
-            needs.append(self.batch * length * self.widths[3] * (item + 1))
         else:
             self.inputs = [np.empty(max(inputs), np.uint8)] * 3
         self.transient = np.empty(max(needs), np.uint8)
@@ -559,10 +532,31 @@ class _Buffers:
         shape = (batch, self.length + KERNEL_SIZES[i] - 1, self.widths[i + 1])
         return _view(self.transient, shape, self.dtype)
 
-    def act(self, i: int, batch: int, dtype=None, offset: int = 0) -> np.ndarray:
+    def act(self, i: int, batch: int) -> np.ndarray:
         """A (B, T, Cout) array of block i in the transient."""
         shape = (batch, self.length, self.widths[i + 1])
-        return _view(self.transient, shape, dtype or self.dtype, offset)
+        return _view(self.transient, shape, self.dtype)
+
+    def tap(self, i: int, batch: int, backward: bool = False):
+        """The tap rows of block i's correlation in spent memory, or None.
+
+        `_correlate` uses them when its Ci > Co. Forward, they follow the
+        block's output in the transient; backward, they take block i+1's
+        padded input, whose dout is spent by then. None, where that input
+        is missing or too small, lets `_correlate` allocate them.
+        """
+        in_ch, out_ch = self.widths[i : i + 2][:: -1 if backward else 1]
+        if in_ch <= out_ch:
+            return None
+        kernel = KERNEL_SIZES[i]
+        shape = (batch * (self.length + kernel - 1) - kernel + 1, out_ch)
+        if not backward:
+            offset = self.output(i, batch).nbytes
+            return _view(self.transient, shape, self.dtype, offset)
+        nbytes = math.prod(shape) * self.dtype.itemsize
+        if i == 2 or self.inputs[i + 1].nbytes < nbytes:
+            return None
+        return _view(self.inputs[i + 1], shape, self.dtype)
 
 
 def _train_forward(model: FcnModel, x: np.ndarray, bufs: _Buffers | None = None):
@@ -584,7 +578,7 @@ def _train_forward(model: FcnModel, x: np.ndarray, bufs: _Buffers | None = None)
         k = i + 1
         out, conv_padded = conv1d_forward(
             inp, model[f"conv{k}.weight"], model[f"conv{k}.bias"], padded=padded,
-            out=_rows(bufs.output(i, batch)),
+            out=_rows(bufs.output(i, batch)), tap=bufs.tap(i, batch),
         )
         if k < 3:
             padded, inp = bufs.block_input(k, batch)
@@ -597,7 +591,7 @@ def _train_forward(model: FcnModel, x: np.ndarray, bufs: _Buffers | None = None)
         for stat, batch_stat in (("running_mean", mu), ("running_var", var)):
             name = f"bn{k}.{stat}"
             model[name] = BN_MOMENTUM * model[name] + (1 - BN_MOMENTUM) * batch_stat
-        y *= np.greater(y, 0, out=bufs.act(i, batch, bool, 0 if k < 3 else y.nbytes))
+        np.maximum(y, 0.0, out=y)
         caches.append((conv_padded, xhat, inv_std))
     gap = y.mean(axis=1)  # (B, F3)
     logits = gap @ model["head.weight"] + model["head.bias"]
@@ -622,7 +616,8 @@ def _eval_logits(model: FcnModel, x: np.ndarray, folded, bufs=None) -> np.ndarra
     inp[...] = x
     for i, (w, b) in enumerate(folded):
         out, _ = conv1d_forward(
-            inp, w, b, padded=padded, out=_rows(bufs.output(i, batch))
+            inp, w, b, padded=padded, out=_rows(bufs.output(i, batch)),
+            tap=bufs.tap(i, batch),
         )
         if i < 2:
             padded, inp = bufs.block_input(i + 1, batch)
@@ -714,6 +709,7 @@ def _loss_and_gradients_impl(model: FcnModel, batch, bufs: _Buffers | None = Non
         dout, dw, db = conv1d_backward(
             dbn, padded, model[f"conv{k}.weight"], (batch_size, length, bufs.widths[i]),
             input_grad=k > 1, grad=_rows(seg),
+            tap=bufs.tap(i, batch_size, backward=True),
         )
         grads[f"bn{k}.gamma"] = dgamma
         grads[f"bn{k}.beta"] = dbeta

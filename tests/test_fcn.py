@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     finite_difference_gradients,
     gradient_relative_errors,
+    k_fold_copy_correlate,
     make_constant_dataset,
     record_calls,
     traced_peak,
@@ -26,7 +27,6 @@ from tstransfer import (
     train,
 )
 from tstransfer.fcn import (
-    _CORRELATE_BYTES,
     _EVAL_STEPS,
     BN_EPSILON,
     KERNEL_SIZES,
@@ -348,37 +348,61 @@ def reference_correlate(padded, wk):
 
 
 class TestCorrelateBlocks:
-    # 203 padded rows give 199 output rows, a prime, so every count of
-    # blocks between 2 and 198 leaves blocks of two sizes.
+    # 203 padded rows give 199 output rows, a prime. The kernel runs on
+    # blocks of them, each with its K-1 padded rows ahead, as a chunk of
+    # series would; a block of one row has fewer rows than taps.
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("in_ch, out_ch", [(3, 7), (7, 3)])  # im2col, shift-add
+    @pytest.mark.parametrize("in_ch, out_ch", [(3, 7), (7, 3)])  # phases, taps
     @pytest.mark.parametrize("rows_per_block", [1, 16, 40, 10**6])
-    def test_blocks_match_the_per_tap_reference(self, monkeypatch, dtype, tol, in_ch,
-                                                out_ch, rows_per_block):
+    def test_blocks_match_the_per_tap_reference(self, dtype, tol, in_ch, out_ch,
+                                                rows_per_block):
         kernel = 5
         rng = np.random.default_rng(rows_per_block + in_ch)
         padded = rng.standard_normal((203, in_ch)).astype(dtype)
         wk = rng.standard_normal((kernel, in_ch, out_ch)).astype(dtype)
-        row_bytes = kernel * min(in_ch, out_ch) * padded.itemsize
-        monkeypatch.setattr(fcn, "_CORRELATE_BYTES", rows_per_block * row_bytes)
-        out = _correlate(padded, wk)
-        assert out.shape == (203, out_ch) and out.dtype == dtype
-        assert max_rel(out[:199], reference_correlate(padded, wk)) <= tol
+        expected = reference_correlate(padded, wk)
+        for r0 in range(0, 199, rows_per_block):
+            r1 = min(r0 + rows_per_block, 199)
+            out = _correlate(padded[r0 : r1 + kernel - 1], wk)
+            assert out.shape == (r1 - r0 + kernel - 1, out_ch) and out.dtype == dtype
+            assert max_rel(out[: r1 - r0], expected[r0:r1]) <= tol
+
+    # The correlations of a training step at the default filters, batch 16:
+    # each block's forward pass and the input gradients of blocks 2 and 3.
+    # The earlier kernel copied blocks 2 and 3 in several row blocks here.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [128, 320])
+    @pytest.mark.parametrize("kernel, in_ch, out_ch", [
+        (8, 1, 128), (5, 128, 256), (3, 256, 128), (5, 256, 128), (3, 128, 256),
+    ])
+    def test_bits_equal_the_k_fold_copy_kernel(self, dtype, length, kernel, in_ch,
+                                               out_ch):
+        rng = np.random.default_rng(kernel * in_ch + length)
+        padded = rng.standard_normal((16 * (length + kernel - 1), in_ch)).astype(dtype)
+        wk = rng.standard_normal((kernel, in_ch, out_ch)).astype(dtype)
+        expected = k_fold_copy_correlate(padded, wk)
+        assert np.array_equal(_correlate(padded, wk)[: len(expected)], expected)
 
     @pytest.mark.parametrize("in_ch, out_ch", [(128, 256), (256, 128)])
-    def test_scratch_stays_within_the_budget(self, in_ch, out_ch):
-        # Block 2's input and its gradient at B=16, T=2709: at the full
-        # length the K-fold copy alone would be 111 MB in float32.
+    def test_allocates_nothing_given_out_and_tap(self, in_ch, out_ch):
+        # Block 2's input and its gradient at B=16, T=2709, where a K-fold
+        # copy of the whole batch would take 111 MB in float32.
         rng = np.random.default_rng(in_ch)
         padded = rng.standard_normal((16 * 2713, in_ch), dtype=np.float32)
         wk = rng.standard_normal((5, in_ch, out_ch), dtype=np.float32)
-        out_bytes = padded.shape[0] * out_ch * padded.itemsize
-        peak = traced_peak(_correlate, padded, wk)
-        assert peak < out_bytes + _CORRELATE_BYTES + 2**20
-        assert fcn._SCRATCH.buf.nbytes < _CORRELATE_BYTES + 2**20
+        out = np.empty((padded.shape[0], out_ch), np.float32)
+        tap = np.empty((padded.shape[0] - 4, out_ch), np.float32)
+        assert traced_peak(_correlate, padded, wk, out, tap) < 64 * 2**10
+        assert max_rel(out[:64], reference_correlate(padded[:68], wk)) <= 1e-5
 
-    def test_threads_keep_their_own_scratch(self, monkeypatch):
-        monkeypatch.setattr(fcn, "_CORRELATE_BYTES", 4096)
+    def test_rejects_arrays_that_are_not_c_contiguous(self):
+        padded, wk = np.zeros((20, 6)), np.zeros((3, 3, 4))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _correlate(padded[:, :3], wk)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _correlate(padded[:, :3].copy(), wk, np.zeros((20, 8))[:, :4])
+
+    def test_threads_give_the_serial_rows(self):
         rng = np.random.default_rng(59)
         cases = [
             (rng.standard_normal((4000, cin)), rng.standard_normal((5, cin, cout)))
@@ -395,7 +419,8 @@ class TestCorrelateBlocks:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         for got, want in zip(results, serial):
             assert np.array_equal(got[:3996], want[:3996])
 
@@ -537,13 +562,11 @@ class TestEvalPath:
         assert len(log) == 3 * len(_eval_chunks([len(s) for s in series])) == 9
 
     def test_float32_forward_memory_peak(self):
-        # The chunks' three inputs take turns in one buffer. Measured on a
-        # second call, after the first has grown the `_correlate` scratch.
+        # The chunks' three inputs take turns in one buffer.
         rng = np.random.default_rng(44)
         m = clone_model(build_model(3, seed=45), TRAIN_DTYPE)
         series = [rng.standard_normal(128) for _ in range(512)]
-        forward(m, series)
-        assert traced_peak(forward, m, series) < 5.75 * 2**20
+        assert traced_peak(forward, m, series) < 5.5 * 2**20
 
     def test_memory_does_not_grow_with_length(self):
         rng = np.random.default_rng(56)
@@ -597,25 +620,41 @@ class TestLossAndGradients:
             assert worst < 1e-4, {k: float(v.max()) for k, v in errors.items()}
             assert skipped <= 2
 
-    # Allocation sizes depend only on the shapes, so the peaks are exact. A
-    # first call also grows the thread's kept `_correlate` scratch buffer;
-    # the peaks are those of a later call, so the test order does not matter.
+    @pytest.mark.parametrize("length", [1, 9])
+    def test_gradients_where_backward_taps_are_allocated(self, length):
+        # With filters that widen in every block, block 3's input gradient
+        # has no next padded input to hold its tap rows, and at T=1 block 2's
+        # is too small, so `_correlate` allocates those itself.
+        rng = np.random.default_rng(15 + length)
+        m = build_model(3, seed=16, filters=(4, 5, 6))
+        batch = [(rng.standard_normal(length), k % 3) for k in range(8)]
+        bufs = fcn._Buffers(m, train=True)
+        bufs.fit(len(batch), length)
+        assert bufs.tap(2, len(batch), backward=True) is None
+        assert (bufs.tap(1, len(batch), backward=True) is None) == (length == 1)
+        _, grads = loss_and_gradients(clone_model(m), batch)
+        fd, usable, skipped = finite_difference_gradients(m, batch)
+        errors = gradient_relative_errors(grads, fd, usable)
+        worst = max(err.max() for err in errors.values())
+        assert worst < 1e-4, {k: float(v.max()) for k, v in errors.items()}
+        assert skipped <= 2
+
+    # Allocation sizes depend only on the shapes, so the peaks are exact; a
+    # first call keeps nothing for later ones, so each peak is a first call's.
 
     def test_default_step_memory_peak(self):
         rng = np.random.default_rng(40)
         m = build_model(3, seed=41)
         batch = [(rng.standard_normal(128), k % 3) for k in range(16)]
-        loss_and_gradients(m, batch)
-        assert traced_peak(loss_and_gradients, m, batch) < 22.7 * 2**20
+        assert traced_peak(loss_and_gradients, m, batch) < 22.0 * 2**20
 
     def test_long_float32_step_memory_peak(self):
-        # The K-fold copies of block 2 grow no larger than _CORRELATE_BYTES,
-        # where at T=1024 each one would be 42 MB.
+        # No correlation makes a K-fold copy, which for block 2 at T=1024
+        # would be 42 MB.
         rng = np.random.default_rng(42)
         m = clone_model(build_model(3, seed=43), TRAIN_DTYPE)
         batch = [(rng.standard_normal(1024), k % 3) for k in range(16)]
-        loss_and_gradients(m, batch)
-        assert traced_peak(loss_and_gradients, m, batch) < 75 * 2**20
+        assert traced_peak(loss_and_gradients, m, batch) < 74.5 * 2**20
 
     def test_gradient_shapes_match_parameters(self):
         m = build_model(3, seed=14, filters=TINY)
