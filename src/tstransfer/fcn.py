@@ -18,16 +18,15 @@ pooling. Each convolution lays its input out as B zero-padded segments of
 T+K-1 rows stacked in one buffer, and one kernel, `_correlate`, computes
 sum_k padded[q+k] @ wk[k] for every row q of the whole batch; the K-1 output
 rows between two segments straddle two series and are dropped. The kernel
-copies nothing. When Cin <= Cout, the output rows of each phase r (rows r,
-r+K, r+2K, ...) read the padded rows from r on end to end, so a plain slice
-of the C-contiguous buffer is their im2col matrix, and one GEMM per phase
-writes them; otherwise K tap GEMMs over shifted views of the buffer are
-added in tap order, through one output-sized tap buffer. The backward pass
-keeps only the padded input: the weight gradient is K GEMMs over its shifted
-views, and the input gradient is a transposed convolution, the same kernel
-applied to the padded output gradient and the flipped weights. Inference,
-`forward` and so `evaluate`, folds each block's running-stat batch-norm into
-the convolution's weights and bias once per call, copied into the layout
+copies nothing: the output rows of each phase r (rows r, r+K, r+2K, ...)
+read the padded rows from r on end to end, so a plain slice of the
+C-contiguous buffer is their im2col matrix, and one GEMM per phase writes
+them, whatever the channel counts. The backward pass keeps only the padded
+input: the weight gradient is K GEMMs over its shifted views, and the input
+gradient is a transposed convolution, the same kernel applied to the padded
+output gradient and the flipped weights. Inference, `forward` and so
+`evaluate`, folds each block's running-stat batch-norm into the
+convolution's weights and bias once per call, copied into the layout
 `_correlate` multiplies, and runs the series in chunks of about _EVAL_STEPS
 time steps of one length, so its buffers do not grow with the series length.
 Model weights keep the (Cout, Cin, K) layout in memory and on disk.
@@ -42,12 +41,10 @@ block write straight into the next block's padded input; batch-norm backward
 works in its block's `xhat` and writes the padded output gradient; the input
 gradient lands in the block's padded input, which is spent by then. Pad rows
 are therefore zeroed again for every batch before the forward pass writes an
-input. A correlation's tap buffer is memory that is spent at that point:
-forward, the transient after the block's output; backward, the next block's
-padded input. The ReLU mask is formed again in the backward pass from
-`xhat`. Every reduction sees the layout it saw with fresh arrays
-(batch-norm's sums a C-contiguous `xhat` and dy, `mu` the correlation rows),
-so results are byte-equal to fresh buffers.
+input. The ReLU mask is formed again in the backward pass from `xhat`.
+Every reduction sees the layout it saw with fresh arrays (batch-norm's sums
+a C-contiguous `xhat` and dy, `mu` the correlation rows), so results are
+byte-equal to fresh buffers.
 """
 
 from __future__ import annotations
@@ -85,6 +82,9 @@ BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
 TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
+# Goes up whenever a change moves the bits `train` returns; run provenance
+# records it, so a resumed matrix never mixes cells of two kernels.
+NUMERICS_VERSION = 2
 _EVAL_STEPS = 2048  # time steps per evaluation chunk: 16 series at T=128
 
 
@@ -240,10 +240,10 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return kernel // 2, (kernel - 1) // 2
 
 
-def _view(buf: np.ndarray, shape, dtype, offset: int = 0) -> np.ndarray:
-    """Array of this shape and dtype over the bytes of buf from offset on."""
+def _view(buf: np.ndarray, shape, dtype) -> np.ndarray:
+    """Array of this shape and dtype over the leading bytes of buf."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    return buf[offset : offset + nbytes].view(dtype).reshape(shape)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def _rows(seg: np.ndarray) -> np.ndarray:
@@ -258,18 +258,15 @@ def _zero_pads(seg: np.ndarray, lead: int, length: int) -> np.ndarray:
     return seg[:, lead : lead + length]
 
 
-def _correlate(padded: np.ndarray, wk: np.ndarray, out=None, tap=None) -> np.ndarray:
+def _correlate(padded: np.ndarray, wk: np.ndarray, out=None) -> np.ndarray:
     """(R, Co) array whose row q < R-K+1 is sum_k padded[q+k] @ wk[k].
 
     padded is a C-contiguous (R, Ci) array and wk is (K, Ci, Co); the rows
     are written to out, a C-contiguous (R, Co) array, or to a new one, and
-    the last K-1 rows are left unset. Nothing is copied. When Ci <= Co, the
-    output rows q = r, r+K, r+2K, ... of phase r read the padded rows from r
-    on, K at a time and end to end, so one plain slice of padded is their
-    (n, K*Ci) im2col matrix, and one GEMM per phase writes them. When
-    Ci > Co, the K tap GEMMs padded[k : k+R-K+1] @ wk[k] are added in tap
-    order, each tap's product going through tap, a C-contiguous
-    (R-K+1, Co) array, or a new one.
+    the last K-1 rows are left unset. Nothing is copied: the output rows
+    q = r, r+K, r+2K, ... of phase r read the padded rows from r on, K at a
+    time and end to end, so one plain slice of padded is their (n, K*Ci)
+    im2col matrix, and one GEMM per phase writes them.
     """
     kernel, in_ch, out_ch = wk.shape
     rows = padded.shape[0] - kernel + 1
@@ -277,19 +274,12 @@ def _correlate(padded: np.ndarray, wk: np.ndarray, out=None, tap=None) -> np.nda
         out = np.empty((padded.shape[0], out_ch), dtype=np.result_type(padded, wk))
     if not (padded.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("_correlate needs C-contiguous padded and out arrays")
-    wk = np.ascontiguousarray(wk)
-    if in_ch <= out_ch:
-        flat, wmat = padded.reshape(-1), wk.reshape(kernel * in_ch, out_ch)
-        for r in range(min(kernel, rows)):
-            n = -(-(rows - r) // kernel)
-            cols = flat[r * in_ch : (r + n * kernel) * in_ch].reshape(n, -1)
-            np.matmul(cols, wmat, out=out[r:rows:kernel])
-        return out
-    if tap is None:
-        tap = np.empty((rows, out_ch), out.dtype)
-    np.matmul(padded[:rows], wk[0], out=out[:rows])
-    for k in range(1, kernel):
-        out[:rows] += np.matmul(padded[k : k + rows], wk[k], out=tap)
+    flat = padded.reshape(-1)
+    wmat = np.ascontiguousarray(wk).reshape(kernel * in_ch, out_ch)
+    for r in range(min(kernel, rows)):
+        n = -(-(rows - r) // kernel)
+        cols = flat[r * in_ch : (r + n * kernel) * in_ch].reshape(n, -1)
+        np.matmul(cols, wmat, out=out[r:rows:kernel])
     return out
 
 
@@ -310,7 +300,7 @@ def _unsegment(rows: np.ndarray, batch: int, length: int, kernel: int) -> np.nda
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, padded=None,
-                   out=None, tap=None):
+                   out=None):
     """Stride-1 zero-padded convolution, output length equals input length.
 
     x: (B, T, Cin) channels-last, w: (Cout, Cin, K). A single-channel
@@ -318,12 +308,11 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, padded=None,
     input is laid out as B zero-padded segments of T+K-1 rows each, stacked
     into one (B*(T+K-1), Cin) buffer, so output row q is
     sum_k padded[q+k] @ w[:, :, k].T and the whole batch goes through
-    `_correlate` at once, into `out` and through `tap` when given. The K-1
-    rows after each segment's T outputs straddle two series; they are
-    computed and dropped. A caller that passes `padded` has zeroed its pad
-    rows and written x into the rest, x being that view of it; otherwise x
-    is copied into a new one. Returns (out (B, T, Cout), padded); backward
-    reuses padded.
+    `_correlate` at once, into `out` when given. The K-1 rows after each
+    segment's T outputs straddle two series; they are computed and dropped.
+    A caller that passes `padded` has zeroed its pad rows and written x into
+    the rest, x being that view of it; otherwise x is copied into a new one.
+    Returns (out (B, T, Cout), padded); backward reuses padded.
     """
     out_ch, in_ch, kernel = w.shape
     batch = x.shape[0]
@@ -333,7 +322,7 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, padded=None,
         seg = np.empty((batch, length + kernel - 1, in_ch), x.dtype)
         _zero_pads(seg, kernel // 2, length)[...] = x
         padded = _rows(seg)
-    rows = _correlate(padded, w.transpose(2, 1, 0), out, tap)
+    rows = _correlate(padded, w.transpose(2, 1, 0), out)
     y = _unsegment(rows, batch, length, kernel)
     y += b
     return y, padded
@@ -347,7 +336,6 @@ def conv1d_backward(
     *,
     input_grad: bool = True,
     grad=None,
-    tap=None,
 ):
     """Gradients of the padded convolution w.r.t. input, weights, and bias.
 
@@ -361,9 +349,8 @@ def conv1d_backward(
     the padded dout with the kernel-flipped, transposed weights, returned in
     x_shape. A caller that passes `grad`, that padded gradient with dout as
     its view, has spent padded, and dx is written over it, pad rows too;
-    otherwise dout is copied into a new buffer and dx is a new array. `tap`
-    goes to `_correlate`. With input_grad=False, dx is not computed and None
-    is returned in its place.
+    otherwise dout is copied into a new buffer and dx is a new array. With
+    input_grad=False, dx is not computed and None is returned in its place.
     """
     batch, length, _ = dout.shape
     out_ch, in_ch, kernel = w.shape
@@ -382,7 +369,7 @@ def conv1d_backward(
     dw = np.ascontiguousarray(dw.transpose(2, 1, 0))
     if not input_grad:
         return None, dw, db
-    dx = _correlate(grad, w[:, :, ::-1].transpose(2, 0, 1), dx_rows, tap)
+    dx = _correlate(grad, w[:, :, ::-1].transpose(2, 0, 1), dx_rows)
     return _unsegment(dx, batch, length, kernel).reshape(x_shape), dw, db
 
 
@@ -449,17 +436,22 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _stack_batch(series, dtype) -> np.ndarray:
     """(B, T, 1) array of same-length series in dtype.
 
-    A finite sample that the cast turns into inf (beyond the float32 range,
-    say) raises ValueError naming the dtype.
+    Raises ValueError, as `core.as_series` does, for zero-length series and
+    non-finite samples, and names the dtype for a finite sample that the
+    cast turns into inf (beyond the float32 range, say).
     """
     if not series:
         raise ValueError("empty batch")
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ValueError(f"batch mixes series lengths {sorted(lengths)}")
+    if 0 in lengths:
+        raise ValueError("time series must contain at least one sample")
     with np.errstate(over="ignore"):
         x = np.asarray(series, dtype=dtype)
-    if not np.isfinite(x).all() and np.isfinite(np.asarray(series, float)).all():
+    if not np.isfinite(x).all():
+        if not np.isfinite(np.asarray(series, float)).all():
+            raise ValueError("time series contains non-finite samples")
         raise ValueError(f"batch has samples beyond the {x.dtype} range")
     return x[:, :, None]
 
@@ -494,9 +486,8 @@ class _Buffers:
     `fit(B, T)` sizes it for batches of up to max(B, batch) series of length
     T and keeps it while later batches fit; a new length frees it first. A
     batch takes views of the leading bytes. The transient holds one block's
-    correlation rows (block 3's activations are written over them) and, when
-    Cin > Cout, its tap rows after them; then dy and the padded output
-    gradient.
+    correlation rows (block 3's activations are written over them), then dy
+    and the padded output gradient.
     """
 
     def __init__(self, model: FcnModel, train: bool, batch: int = 1):
@@ -511,15 +502,14 @@ class _Buffers:
         item = self.dtype.itemsize
         segs = [self.batch * (length + k - 1) * item for k in KERNEL_SIZES]
         inputs = [s * c for s, c in zip(segs, self.widths)]
-        pairs = zip(segs, self.widths, self.widths[1:])
-        needs = [s * co * (1 + (ci > co)) for s, ci, co in pairs]
+        outputs = [s * c for s, c in zip(segs, self.widths[1:])]
         if self.train:
             self.inputs = [np.empty(n, np.uint8) for n in inputs]
             self.xhat = [np.empty(self.batch * length * c, self.dtype)
                          for c in self.widths[1:]]
         else:
             self.inputs = [np.empty(max(inputs), np.uint8)] * 3
-        self.transient = np.empty(max(needs), np.uint8)
+        self.transient = np.empty(max(outputs), np.uint8)
 
     def block_input(self, i: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
         """Block i's padded input, its pad rows zeroed, and its x view."""
@@ -536,27 +526,6 @@ class _Buffers:
         """A (B, T, Cout) array of block i in the transient."""
         shape = (batch, self.length, self.widths[i + 1])
         return _view(self.transient, shape, self.dtype)
-
-    def tap(self, i: int, batch: int, backward: bool = False):
-        """The tap rows of block i's correlation in spent memory, or None.
-
-        `_correlate` uses them when its Ci > Co. Forward, they follow the
-        block's output in the transient; backward, they take block i+1's
-        padded input, whose dout is spent by then. None, where that input
-        is missing or too small, lets `_correlate` allocate them.
-        """
-        in_ch, out_ch = self.widths[i : i + 2][:: -1 if backward else 1]
-        if in_ch <= out_ch:
-            return None
-        kernel = KERNEL_SIZES[i]
-        shape = (batch * (self.length + kernel - 1) - kernel + 1, out_ch)
-        if not backward:
-            offset = self.output(i, batch).nbytes
-            return _view(self.transient, shape, self.dtype, offset)
-        nbytes = math.prod(shape) * self.dtype.itemsize
-        if i == 2 or self.inputs[i + 1].nbytes < nbytes:
-            return None
-        return _view(self.inputs[i + 1], shape, self.dtype)
 
 
 def _train_forward(model: FcnModel, x: np.ndarray, bufs: _Buffers | None = None):
@@ -578,7 +547,7 @@ def _train_forward(model: FcnModel, x: np.ndarray, bufs: _Buffers | None = None)
         k = i + 1
         out, conv_padded = conv1d_forward(
             inp, model[f"conv{k}.weight"], model[f"conv{k}.bias"], padded=padded,
-            out=_rows(bufs.output(i, batch)), tap=bufs.tap(i, batch),
+            out=_rows(bufs.output(i, batch)),
         )
         if k < 3:
             padded, inp = bufs.block_input(k, batch)
@@ -616,8 +585,7 @@ def _eval_logits(model: FcnModel, x: np.ndarray, folded, bufs=None) -> np.ndarra
     inp[...] = x
     for i, (w, b) in enumerate(folded):
         out, _ = conv1d_forward(
-            inp, w, b, padded=padded, out=_rows(bufs.output(i, batch)),
-            tap=bufs.tap(i, batch),
+            inp, w, b, padded=padded, out=_rows(bufs.output(i, batch))
         )
         if i < 2:
             padded, inp = bufs.block_input(i + 1, batch)
@@ -709,7 +677,6 @@ def _loss_and_gradients_impl(model: FcnModel, batch, bufs: _Buffers | None = Non
         dout, dw, db = conv1d_backward(
             dbn, padded, model[f"conv{k}.weight"], (batch_size, length, bufs.widths[i]),
             input_grad=k > 1, grad=_rows(seg),
-            tap=bufs.tap(i, batch_size, backward=True),
         )
         grads[f"bn{k}.gamma"] = dgamma
         grads[f"bn{k}.beta"] = dbeta

@@ -21,7 +21,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .core import DataValidationError, Dataset
-from .fcn import TRAIN_DTYPE, TrainConfig, build_model, evaluate, train
+from .fcn import (
+    NUMERICS_VERSION, TRAIN_DTYPE, TrainConfig, build_model, evaluate, train,
+)
 from .similarity import SimilarityMatrix, SourceRanking, rank_sources
 from .textfmt import dump_json_17g, fmt17
 from .transfer import fine_tune
@@ -43,7 +45,7 @@ __all__ = [
 
 # The provenance every cell of one run shares, besides the dataset digests.
 # Resume and load_matrix_results both check these keys.
-_RUN_KEYS = ("seeds", "config", "train_dtype")
+_RUN_KEYS = ("seeds", "config", "train_dtype", "numerics_version")
 
 # Sampled random-selection means carry float summation noise; comparisons
 # treat differences at or below this as ties.
@@ -237,16 +239,17 @@ def run_matrix(
     When out_dir is given, each completed cell is written atomically to
     `cells/<source>__<target>.json`, so an interrupted run resumes for free.
     Every record carries what its results depend on: the seeds, the
-    TrainConfig fields, the dtype training computes in and SHA-256 digests
-    of the source and target contents. An existing cell file is reused only
-    when all of them match this run; a cell file that is not a JSON object
-    is stale too. Stale cells are recomputed in two phases: phase 1 trains
-    one scratch model per (dataset, seed) of those cells and evaluates each
-    target's baseline once per seed, then phase 2 runs `run_pair` per cell
-    and seed on those results, the same as a lone `run_pair`'s. A failing
-    cell, phase 1 included, is recorded and marked on disk (its stale result
-    file removed) without stopping the run. Cells run one after another,
-    since numpy's BLAS already uses every core.
+    TrainConfig fields, the dtype training computes in, the version of its
+    numerics (`fcn.NUMERICS_VERSION`) and SHA-256 digests of the source and
+    target contents. An existing cell file is reused only when all of them
+    match this run; a cell file that is not a JSON object is stale too.
+    Stale cells are recomputed in two phases: phase 1 trains one scratch
+    model per (dataset, seed) of those cells and evaluates each target's
+    baseline once per seed, then phase 2 runs `run_pair` per cell and seed
+    on those results, the same as a lone `run_pair`'s. A failing cell, phase
+    1 included, is recorded and marked on disk (its stale result file
+    removed) without stopping the run. Cells run one after another, since
+    numpy's BLAS already uses every core.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -263,9 +266,10 @@ def run_matrix(
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
 
-    run = dict(
-        zip(_RUN_KEYS, (seeds, asdict(config), TRAIN_DTYPE.name), strict=True)
-    )
+    run = dict(zip(
+        _RUN_KEYS, (seeds, asdict(config), TRAIN_DTYPE.name, NUMERICS_VERSION),
+        strict=True,
+    ))
 
     def provenance(s, t):
         return {**run, "source_digest": digests[s], "target_digest": digests[t]}
@@ -334,13 +338,13 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
     """Rebuild a VariationMatrix from a results directory written by run_matrix.
 
     All cell records must come from one run: the same seeds, the same
-    TrainConfig, the same training dtype and, per dataset name, the same
-    content digest. A resumed run that changed any of them overwrites only
-    its own cells, so a mix is refused with a DataValidationError naming two
-    cells that disagree. A cell file that is not a JSON object, or lacks its
-    `source`, `target` or (for a failure) `error` key, raises
-    DataValidationError naming the file; so does a cell both completed and
-    failed.
+    TrainConfig, the same training dtype and numerics version and, per
+    dataset name, the same content digest. A resumed run that changed any of
+    them overwrites only its own cells, so a mix is refused with a
+    DataValidationError naming two cells that disagree. A cell file that is
+    not a JSON object, or lacks its `source`, `target` or (for a failure)
+    `error` key, raises DataValidationError naming the file; so does a cell
+    both completed and failed.
     """
     cells_dir = os.path.join(out_dir, "cells")
     if not os.path.isdir(cells_dir):

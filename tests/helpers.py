@@ -239,34 +239,22 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
 
 
 def k_fold_copy_correlate(padded, wk, block_bytes: int = 2 * 2**20):
-    """`fcn._correlate` as it was before it went copy-free, whose bits it keeps.
+    """`fcn._correlate` as a K-fold copy, whose bits the kernel keeps.
 
-    It made a K-fold copy in balanced row blocks whose copy fits in
-    block_bytes: an im2col matrix when Ci <= Co, multiplied by one GEMM per
-    block, otherwise one GEMM of the block's rows plus the K-1 after them
-    into K*Co columns whose K column blocks are added, block k shifted up by
-    k rows. Returns the R-K+1 output rows.
+    It makes the (R-K+1, K*Ci) im2col matrix in balanced row blocks whose
+    copy fits in block_bytes and multiplies each by one GEMM. Returns the
+    R-K+1 output rows.
     """
     kernel, in_ch, out_ch = wk.shape
     rows = padded.shape[0] - kernel + 1
     out = np.empty((rows, out_ch), np.result_type(padded, wk))
-    im2col = in_ch <= out_ch
-    width = kernel * (in_ch if im2col else out_ch)
+    width = kernel * in_ch
     count = max(min(-(-rows * width * out.itemsize // block_bytes), rows), 1)
     bounds = [j * rows // count for j in range(count + 1)]
-    if im2col:
-        wmat = wk.reshape(width, out_ch)
-        windows = sliding_window_view(padded.reshape(-1), width)[::in_ch]
-        for r0, r1 in zip(bounds, bounds[1:]):
-            np.matmul(np.ascontiguousarray(windows[r0:r1]), wmat, out=out[r0:r1])
-        return out
-    wmat = wk.transpose(1, 0, 2).reshape(in_ch, width)
+    wmat = wk.reshape(width, out_ch)
+    windows = sliding_window_view(padded.reshape(-1), width)[::in_ch]
     for r0, r1 in zip(bounds, bounds[1:]):
-        n = r1 - r0
-        y = padded[r0 : r1 + kernel - 1] @ wmat
-        out[r0:r1] = y[:n, :out_ch]
-        for k in range(1, kernel):
-            out[r0:r1] += y[k : k + n, k * out_ch : (k + 1) * out_ch]
+        np.matmul(np.ascontiguousarray(windows[r0:r1]), wmat, out=out[r0:r1])
     return out
 
 

@@ -352,7 +352,7 @@ class TestCorrelateBlocks:
     # blocks of them, each with its K-1 padded rows ahead, as a chunk of
     # series would; a block of one row has fewer rows than taps.
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("in_ch, out_ch", [(3, 7), (7, 3)])  # phases, taps
+    @pytest.mark.parametrize("in_ch, out_ch", [(3, 7), (7, 3)])  # widening, narrowing
     @pytest.mark.parametrize("rows_per_block", [1, 16, 40, 10**6])
     def test_blocks_match_the_per_tap_reference(self, dtype, tol, in_ch, out_ch,
                                                 rows_per_block):
@@ -384,15 +384,14 @@ class TestCorrelateBlocks:
         assert np.array_equal(_correlate(padded, wk)[: len(expected)], expected)
 
     @pytest.mark.parametrize("in_ch, out_ch", [(128, 256), (256, 128)])
-    def test_allocates_nothing_given_out_and_tap(self, in_ch, out_ch):
+    def test_allocates_nothing_given_out(self, in_ch, out_ch):
         # Block 2's input and its gradient at B=16, T=2709, where a K-fold
         # copy of the whole batch would take 111 MB in float32.
         rng = np.random.default_rng(in_ch)
         padded = rng.standard_normal((16 * 2713, in_ch), dtype=np.float32)
         wk = rng.standard_normal((5, in_ch, out_ch), dtype=np.float32)
         out = np.empty((padded.shape[0], out_ch), np.float32)
-        tap = np.empty((padded.shape[0] - 4, out_ch), np.float32)
-        assert traced_peak(_correlate, padded, wk, out, tap) < 64 * 2**10
+        assert traced_peak(_correlate, padded, wk, out) < 64 * 2**10
         assert max_rel(out[:64], reference_correlate(padded[:68], wk)) <= 1e-5
 
     def test_rejects_arrays_that_are_not_c_contiguous(self):
@@ -622,16 +621,12 @@ class TestLossAndGradients:
 
     @pytest.mark.parametrize("length", [1, 9])
     def test_gradients_where_backward_taps_are_allocated(self, length):
-        # With filters that widen in every block, block 3's input gradient
-        # has no next padded input to hold its tap rows, and at T=1 block 2's
-        # is too small, so `_correlate` allocates those itself.
+        # With filters that widen in every block, every input gradient is a
+        # correlation that narrows the channels, and at T=1 its segments
+        # hold fewer rows than taps.
         rng = np.random.default_rng(15 + length)
         m = build_model(3, seed=16, filters=(4, 5, 6))
         batch = [(rng.standard_normal(length), k % 3) for k in range(8)]
-        bufs = fcn._Buffers(m, train=True)
-        bufs.fit(len(batch), length)
-        assert bufs.tap(2, len(batch), backward=True) is None
-        assert (bufs.tap(1, len(batch), backward=True) is None) == (length == 1)
         _, grads = loss_and_gradients(clone_model(m), batch)
         fd, usable, skipped = finite_difference_gradients(m, batch)
         errors = gradient_relative_errors(grads, fd, usable)
@@ -854,6 +849,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="beyond the float32 range"):
             evaluate(m, split)
         assert 0.0 <= evaluate(clone_model(m, np.float64), split) <= 1.0
+
+    @pytest.mark.parametrize("series, match", [
+        ([np.zeros(0)], "at least one sample"),
+        ([np.zeros(0)] * 3, "at least one sample"),
+        ([np.array([0.5, np.nan, -1.0, 2.0])], "non-finite"),
+        ([np.array([0.5, np.inf, -1.0, 2.0])], "non-finite"),
+    ])
+    def test_empty_or_non_finite_series_raise(self, series, match):
+        m = build_model(2, seed=38, filters=TINY)
+        before = clone_model(m)
+        split = [(s, 1) for s in series]
+        with pytest.raises(ValueError, match=match):
+            forward(m, series)
+        with pytest.raises(ValueError, match=match):
+            evaluate(m, split)
+        with pytest.raises(ValueError, match=match):
+            loss_and_gradients(m, split)
+        assert all(np.array_equal(m[name], before[name]) for name in m)
 
 
 class TestDtype:

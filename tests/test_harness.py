@@ -419,10 +419,12 @@ class TestRunMatrix:
             edit(record)
             path.write_text(json.dumps(record))
 
-        # a cell trained in another dtype, or written before the field
-        # existed, is recomputed once
+        # a cell trained in another dtype or by other numerics, or written
+        # before either field existed, is recomputed once
         for edit in (lambda r: r.update(train_dtype="float64"),
-                     lambda r: r.pop("train_dtype")):
+                     lambda r: r.pop("train_dtype"),
+                     lambda r: r.update(numerics_version=1),
+                     lambda r: r.pop("numerics_version")):
             rewrite(edit)
             computed.clear()
             assert run_matrix(datasets, FAST, out_dir=out).cells == matrix.cells
@@ -434,6 +436,12 @@ class TestRunMatrix:
 
         rewrite(lambda r: r.update(train_dtype="float64"))
         with pytest.raises(DataValidationError, match="disagree on train_dtype"):
+            load_matrix_results(out)
+        rewrite(lambda r: r.update(train_dtype="float32", numerics_version=1))
+        with pytest.raises(DataValidationError, match="disagree on numerics_version"):
+            load_matrix_results(out)
+        rewrite(lambda r: r.pop("numerics_version"))
+        with pytest.raises(DataValidationError, match="disagree on numerics_version"):
             load_matrix_results(out)
 
     def test_multi_seed_cells_average(self, tmp_path):
