@@ -11,8 +11,8 @@ from .core import Dataset, find_ucr_pair, load_ucr_dataset
 from .dba import DbaConfig
 from .fcn import TrainConfig, evaluate
 from .harness import (
+    _fine_tune_run,
     _scratch_run,
-    derive_seed,
     load_matrix_results,
     run_matrix,
     write_report,
@@ -25,7 +25,7 @@ from .similarity import (
     write_matrix_csv,
     write_ranking_json,
 )
-from .transfer import ModelFileError, fine_tune, load_model, save_model
+from .transfer import ModelFileError, load_model, save_model
 
 
 def _load_dataset(data_dir: str, name: str) -> Dataset:
@@ -84,9 +84,7 @@ def _cmd_transfer(args) -> int:
     dataset = _load_dataset(args.data, args.target)
     config = _train_config(args)
     tic = time.perf_counter()
-    tuned, history = fine_tune(
-        pretrained, dataset, config, seed=derive_seed(args.seed, "head")
-    )
+    tuned, history, _ = _fine_tune_run(pretrained, dataset, config, args.seed)
     elapsed = time.perf_counter() - tic
     print(
         f"fine-tuned on {dataset.name} for {config.epochs} epochs in {elapsed:.1f}s"
@@ -172,16 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the trained model here (.fcn)")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser(
-        "transfer", help="fine-tune a saved model on a target dataset",
-        description=(
-            "Fine-tune a saved model on a target dataset. --seed s seeds the new "
-            "head with derive_seed(s, 'head') and trains with seed s. A matrix "
-            "cell derives both seeds from its source and target names as well, "
-            "and a .fcn file does not record its source dataset, so this does "
-            "not reproduce a matrix cell's fine-tuned model."
-        ),
-    )
+    p = sub.add_parser("transfer", help="fine-tune a saved model on a target dataset")
     p.add_argument("--source", required=True, help="pretrained model file (.fcn)")
     p.add_argument("--target", required=True, help="target dataset name")
     p.add_argument("--data", required=True)

@@ -82,9 +82,9 @@ BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
 ADAM_EPSILON = 1e-8
 TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
-# Goes up whenever a change moves the bits `train` returns; run provenance
-# records it, so a resumed matrix never mixes cells of two kernels.
-NUMERICS_VERSION = 2
+# Goes up whenever a change moves the bits a matrix cell records; run
+# provenance records it, so a resumed matrix never mixes two policies.
+NUMERICS_VERSION = 3
 _EVAL_STEPS = 2048  # time steps per evaluation chunk: 16 series at T=128
 
 
@@ -591,7 +591,10 @@ def _eval_logits(model: FcnModel, x: np.ndarray, folded, bufs=None) -> np.ndarra
             padded, inp = bufs.block_input(i + 1, batch)
             np.maximum(out, 0.0, out=inp)
     np.maximum(out, 0.0, out=out)
-    return out.mean(axis=1) @ model["head.weight"] + model["head.bias"]
+    # A fixed-order sum over the features, not a GEMM, whose blocking (and
+    # so a row's last bits) would follow the chunk's row count.
+    gap = out.mean(axis=1)
+    return (gap[:, :, None] * model["head.weight"]).sum(axis=1) + model["head.bias"]
 
 
 def forward(model: FcnModel, batch) -> np.ndarray:

@@ -102,6 +102,20 @@ def _scratch_run(dataset: Dataset, config: TrainConfig, seed: int):
     return trained, history, {"init": init_seed, "train": train_seed}
 
 
+def _fine_tune_run(pretrained, target: Dataset, config: TrainConfig, seed: int):
+    """Fine-tune a pretrained model on a target: (model, history, seeds).
+
+    The seeds derive from (seed, target name) alone, so `tstransfer
+    transfer`, which knows no source name, reproduces a matrix cell.
+    """
+    head_seed = derive_seed(seed, target.name, "head")
+    finetune_seed = derive_seed(seed, target.name, "finetune")
+    tuned, history = fine_tune(
+        pretrained, target, replace(config, seed=finetune_seed), head_seed
+    )
+    return tuned, history, {"head": head_seed, "finetune": finetune_seed}
+
+
 def _outcome(thunk):
     """thunk(), or the exception it raised."""
     try:
@@ -124,7 +138,7 @@ def run_pair(
     The baseline's seeds depend only on (seed, target) and the pretraining
     seeds only on (seed, source), so every target has a single baseline and
     every source a single pretrained model for a given base seed; the
-    fine-tuning seeds depend on the pair. Deterministic per seed. `_phase1`
+    fine-tune seeds only on (seed, target). Deterministic per seed. `_phase1`
     holds (target run, source run, baseline accuracy) as `_outcome` values.
     """
     if source.name == target.name:
@@ -135,11 +149,7 @@ def run_pair(
     target_run, source_run, baseline_acc = _phase1
     _, baseline_hist, baseline_seeds = _value(target_run)
     pretrained, _, source_seeds = _value(source_run)
-    head_seed = derive_seed(seed, source.name, target.name, "head")
-    finetune_seed = derive_seed(seed, source.name, target.name, "finetune")
-    tuned, tuned_hist = fine_tune(
-        pretrained, target, replace(config, seed=finetune_seed), head_seed
-    )
+    tuned, tuned_hist, tuned_seeds = _fine_tune_run(pretrained, target, config, seed)
     baseline_acc = _value(baseline_acc)
     transfer_acc = evaluate(tuned, target.test)
     variation = (
@@ -159,8 +169,8 @@ def run_pair(
             "baseline_train": baseline_seeds["train"],
             "source_init": source_seeds["init"],
             "source_train": source_seeds["train"],
-            "head": head_seed,
-            "finetune_train": finetune_seed,
+            "head": tuned_seeds["head"],
+            "finetune_train": tuned_seeds["finetune"],
         },
     )
 
@@ -239,10 +249,11 @@ def run_matrix(
     When out_dir is given, each completed cell is written atomically to
     `cells/<source>__<target>.json`, so an interrupted run resumes for free.
     Every record carries what its results depend on: the seeds, the
-    TrainConfig fields, the dtype training computes in, the version of its
-    numerics (`fcn.NUMERICS_VERSION`) and SHA-256 digests of the source and
-    target contents. An existing cell file is reused only when all of them
-    match this run; a cell file that is not a JSON object is stale too.
+    TrainConfig fields but the unused `seed`, the dtype training computes
+    in, the version of its numerics (`fcn.NUMERICS_VERSION`) and SHA-256
+    digests of the source and target contents. An existing cell file is
+    reused only when all of them match this run; a cell file that is not a
+    JSON object is stale too.
     Stale cells are recomputed in two phases: phase 1 trains one scratch
     model per (dataset, seed) of those cells and evaluates each target's
     baseline once per seed, then phase 2 runs `run_pair` per cell and seed
@@ -266,9 +277,10 @@ def run_matrix(
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
 
+    # Every training derives its seeds from `seeds`, so config.seed is unused.
+    fields = {k: v for k, v in asdict(config).items() if k != "seed"}
     run = dict(zip(
-        _RUN_KEYS, (seeds, asdict(config), TRAIN_DTYPE.name, NUMERICS_VERSION),
-        strict=True,
+        _RUN_KEYS, (seeds, fields, TRAIN_DTYPE.name, NUMERICS_VERSION), strict=True
     ))
 
     def provenance(s, t):
@@ -499,14 +511,18 @@ def write_report(
     """Emit the selection report JSON plus the per-target aggregate CSV.
 
     Rankings come from the similarity matrix; every experiment target must
-    be present in it. Returns the report dict.
+    be present in it. Each target's sources are ranked among its completed
+    cells: a source whose cell failed is skipped. Returns the report dict.
     """
     for name in matrix.names:
         if name not in similarity:
             raise KeyError(f"dataset {name!r} missing from the similarity matrix")
-    rankings: dict[str, SourceRanking] = {
-        name: rank_sources(similarity, name) for name in matrix.names
-    }
+    rankings: dict[str, SourceRanking] = {}
+    for name in matrix.names:
+        ranked = rank_sources(similarity, name).ranked
+        rankings[name] = SourceRanking(
+            name, tuple(e for e in ranked if (e[0], name) not in matrix.failures)
+        )
     columns = matrix.target_accuracies()
     report = compare_selection(columns, rankings, iterations=iterations, seed=seed)
     report["failures"] = [

@@ -12,8 +12,7 @@ from helpers import make_sine_dataset, record_calls
 from tstransfer import (
     DbaConfig,
     TrainConfig,
-    derive_seed,
-    fine_tune,
+    evaluate,
     load_model,
     load_ucr_dataset,
     run_matrix,
@@ -84,19 +83,33 @@ class TestTrainAndTransfer:
         baseline = matrix.cells[("B", "A")]["baseline_accuracy"]
         assert f"test accuracy {baseline:.4f}" in printed
 
-    def test_transfer_writes_fine_tune_with_the_head_seed(self, tmp_path, data_dir):
+    def test_train_then_transfer_writes_the_matrix_cell(
+        self, tmp_path, data_dir, monkeypatch
+    ):
         source, tuned = tmp_path / "a.fcn", tmp_path / "ab.fcn"
-        assert run(["train", "A", "--data", data_dir, "--epochs", "1",
-                    "--batch", "8", "--out", source]) == 0
-        assert run(["transfer", "--source", source, "--target", "B", "--data",
-                    data_dir, "--epochs", "2", "--batch", "8", "--seed", "4",
+        opts = ["--data", data_dir, "--epochs", "2", "--batch", "8", "--seed", "4"]
+        assert run(["train", "A", *opts, "--out", source]) == 0
+        assert run(["transfer", "--source", source, "--target", "B", *opts,
                     "--out", tuned]) == 0
-        target = load_ucr_dataset(data_dir / "B_TRAIN.tsv", data_dir / "B_TEST.tsv", "B")
-        config = TrainConfig(epochs=2, batch_size=8, seed=4)
-        model, _ = fine_tune(load_model(source), target, config, derive_seed(4, "head"))
+
+        fine_tuned = {}
+        real = harness.fine_tune
+
+        def keep(pretrained, target, config, seed):
+            fine_tuned[target.name], history = real(pretrained, target, config, seed)
+            return fine_tuned[target.name], history
+
+        monkeypatch.setattr(harness, "fine_tune", keep)
+        out = tmp_path / "res"
+        assert run(["matrix", "--datasets", "A,B", "--out-dir", out, "--seeds", "1",
+                    *opts]) == 0
         expected = tmp_path / "expected.fcn"
-        save_model(model, expected)
+        save_model(fine_tuned["B"], expected)
         assert tuned.read_bytes() == expected.read_bytes()
+        cell = json.loads((out / "cells" / "A__B.json").read_text())
+        target = load_ucr_dataset(data_dir / "B_TRAIN.tsv", data_dir / "B_TEST.tsv", "B")
+        accuracy = evaluate(load_model(tuned), target.test)
+        assert accuracy == cell["results"][0]["transfer_accuracy"]
 
     def test_unknown_dataset_is_reported(self, data_dir, capsys):
         rc = run(["train", "Nope", "--data", data_dir, "--epochs", "1"])

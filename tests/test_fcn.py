@@ -39,7 +39,6 @@ from tstransfer.fcn import (
     _fold_batchnorm,
     _folded_blocks,
     _eval_logits,
-    _log_softmax,
     _loss_and_gradients_impl,
     _stack_batch,
     _train_forward,
@@ -533,24 +532,28 @@ class TestEvalPath:
 
     @settings(max_examples=20, deadline=None)
     @given(
-        counts=st.dictionaries(st.sampled_from([1, 9, 130, 300, 700]),
+        counts=st.dictionaries(st.sampled_from([64, 130, 300, 700]),
                                st.integers(1, 12), max_size=3),
+        parts=st.integers(2, 5),
+        dtype=st.sampled_from([np.float32, np.float64]),
         seed=st.integers(0, 2**16),
     )
-    def test_chunks_run_alone_give_the_same_rows(self, counts, seed):
+    def test_any_split_gives_the_rows_of_the_whole(self, counts, parts, dtype, seed):
         # 5 series at T=700 split 3, 2: one buffer set serves chunks that
         # shrink, and the blocks' inputs take turns in one buffer.
         counts = {700: 5, **counts}
         rng = np.random.default_rng(seed)
-        m = random_running_stats(clone_model(build_model(3, seed=61), TRAIN_DTYPE), rng)
+        m = random_running_stats(clone_model(build_model(3, seed=61), dtype), rng)
         series = [rng.standard_normal(length)
                   for length, n in counts.items() for _ in range(n)]
         series = [series[i] for i in rng.permutation(len(series))]
-        probs = forward(m, series)
-        for idx in _eval_chunks([len(s) for s in series]):
-            x = _stack_batch([series[i] for i in idx], m.dtype)
-            alone = np.exp(_log_softmax(_eval_logits(m, x, _folded_blocks(m))))
-            assert probs[idx].tobytes() == alone.tobytes()
+        whole = forward(m, series)
+        part = rng.integers(0, parts, size=len(series))
+        for k in range(parts):
+            idx = np.flatnonzero(part == k)
+            if len(idx):
+                rows = forward(m, [series[i] for i in idx])
+                assert rows.tobytes() == whole[idx].tobytes()
 
     def test_forward_calls_the_wrapped_convolution(self, monkeypatch):
         rng = np.random.default_rng(62)

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -279,7 +279,8 @@ class TestRunMatrix:
         assert rerun.cells == fresh.cells
         for cell in rerun.cells.values():
             assert cell["seeds"] == [5]
-            assert cell["config"] == asdict(second)
+            assert cell["config"] == {k: v for k, v in asdict(second).items()
+                                      if k != "seed"}
         assert load_matrix_results(out).cells == fresh.cells
 
         # same names and config, different contents
@@ -424,6 +425,7 @@ class TestRunMatrix:
         for edit in (lambda r: r.update(train_dtype="float64"),
                      lambda r: r.pop("train_dtype"),
                      lambda r: r.update(numerics_version=1),
+                     lambda r: r.update(numerics_version=2),
                      lambda r: r.pop("numerics_version")):
             rewrite(edit)
             computed.clear()
@@ -437,12 +439,26 @@ class TestRunMatrix:
         rewrite(lambda r: r.update(train_dtype="float64"))
         with pytest.raises(DataValidationError, match="disagree on train_dtype"):
             load_matrix_results(out)
-        rewrite(lambda r: r.update(train_dtype="float32", numerics_version=1))
-        with pytest.raises(DataValidationError, match="disagree on numerics_version"):
-            load_matrix_results(out)
+        for version in (1, 2):
+            rewrite(lambda r: r.update(train_dtype="float32", numerics_version=version))
+            with pytest.raises(DataValidationError, match="disagree on numerics_version"):
+                load_matrix_results(out)
         rewrite(lambda r: r.pop("numerics_version"))
         with pytest.raises(DataValidationError, match="disagree on numerics_version"):
             load_matrix_results(out)
+
+    def test_rerun_with_another_config_seed_reuses_every_cell(
+        self, tmp_path, monkeypatch
+    ):
+        # Every training derives its seeds from `seeds`, not config.seed.
+        datasets = tiny_datasets(2)
+        out = tmp_path / "res"
+        matrix = run_matrix(datasets, FAST, seeds=[3], out_dir=out)
+        assert all("seed" not in cell["config"] for cell in matrix.cells.values())
+        computed = record_calls(monkeypatch, harness, "run_pair")
+        again = run_matrix(datasets, replace(FAST, seed=5), seeds=[3], out_dir=out)
+        assert cells_of(computed) == []
+        assert again.cells == matrix.cells
 
     def test_multi_seed_cells_average(self, tmp_path):
         datasets = tiny_datasets(2)
@@ -563,6 +579,27 @@ class TestOutputs:
         rows = list(csv.reader(agg.read_text().splitlines()))
         assert rows[0] == ["target", "min", "median", "max"]
         assert len(rows) == 4
+
+    def test_report_ranks_a_target_among_its_completed_cells(
+        self, tmp_path, monkeypatch
+    ):
+        record_calls(monkeypatch, harness, "run_pair",
+                     fail=lambda a: (a["source"].name, a["target"].name) == ("B", "A"))
+        matrix = run_matrix(tiny_datasets(3), FAST, seeds=[0])
+        assert list(matrix.failures) == [("B", "A")]
+        # B is A's nearest dataset, but its cell failed
+        sim = SimilarityMatrix(
+            ("A", "B", "C"),
+            np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
+        )
+        report = write_report(matrix, sim, tmp_path / "report.json", iterations=50)
+        smart = report["targets"]["A"]["smart"]
+        assert smart["rank1"]["source"] == "C" and smart["rank2"] is None
+        assert [(f["source"], f["target"]) for f in report["failures"]] == [("B", "A")]
+        # a ranked source with neither a result nor a failure is an error
+        del matrix.cells[("A", "B")]
+        with pytest.raises(KeyError, match="ranked source 'A' has no transfer"):
+            write_report(matrix, sim, tmp_path / "report.json", iterations=50)
 
     def test_floats_printed_with_17_digits(self, tmp_path):
         from tstransfer.textfmt import fmt17
