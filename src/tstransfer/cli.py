@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -42,16 +43,21 @@ def _add_train_opts(parser):
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr)
 
 
-def _report_training(model, history, dataset: Dataset, out) -> None:
-    """Print the best epoch and the test accuracy; save the model to out if set."""
+def _run_phase(args, dataset: Dataset, run, done: str) -> int:
+    """Run one phase of a matrix cell on a dataset and report it.
+
+    `run(dataset, config, seed)` is `_scratch_run` or a `_fine_tune_run`
+    bound to its pretrained model. Prints `done` with the epochs and the
+    time taken, the best epoch and the test accuracy; saves the model to
+    --out if set.
+    """
+    config = _train_config(args)
+    tic = time.perf_counter()
+    model, history, _ = run(dataset, config, args.seed)
+    print(f"{done} {config.epochs} epochs in {time.perf_counter() - tic:.1f}s")
     if history.best_epoch:
         print(
             f"best epoch {history.best_epoch}: "
@@ -60,37 +66,22 @@ def _report_training(model, history, dataset: Dataset, out) -> None:
         )
     if dataset.test:
         print(f"test accuracy {evaluate(model, dataset.test):.4f}")
-    if out:
-        save_model(model, out)
-        print(f"saved model to {out}")
+    if args.out:
+        save_model(model, args.out)
+        print(f"saved model to {args.out}")
+    return 0
 
 
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data, args.name)
-    config = _train_config(args)
-    tic = time.perf_counter()
-    trained, history, _ = _scratch_run(dataset, config, args.seed)
-    elapsed = time.perf_counter() - tic
-    print(
-        f"trained {dataset.name}: {len(dataset.train)} series, "
-        f"{config.epochs} epochs in {elapsed:.1f}s"
-    )
-    _report_training(trained, history, dataset, args.out)
-    return 0
+    return _run_phase(args, dataset, _scratch_run,
+                      f"trained {dataset.name}: {len(dataset.train)} series,")
 
 
 def _cmd_transfer(args) -> int:
-    pretrained = load_model(args.source)
+    run = functools.partial(_fine_tune_run, load_model(args.source))
     dataset = _load_dataset(args.data, args.target)
-    config = _train_config(args)
-    tic = time.perf_counter()
-    tuned, history, _ = _fine_tune_run(pretrained, dataset, config, args.seed)
-    elapsed = time.perf_counter() - tic
-    print(
-        f"fine-tuned on {dataset.name} for {config.epochs} epochs in {elapsed:.1f}s"
-    )
-    _report_training(tuned, history, dataset, args.out)
-    return 0
+    return _run_phase(args, dataset, run, f"fine-tuned on {dataset.name} for")
 
 
 def _cmd_similarity(args) -> int:

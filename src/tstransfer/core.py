@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textfmt import atomic_write_bytes, fmt17
+
 __all__ = [
     "DataValidationError",
     "UcrParseError",
@@ -237,19 +239,17 @@ def save_ucr_dataset(dataset: Dataset, train_path, test_path, delimiter: str = "
     """Write a Dataset back to UCR record files.
 
     Values are printed with 17 significant digits so a reload reproduces the
-    samples bit-for-bit. Labels are written in canonical form.
+    samples bit-for-bit. Labels are written in canonical form. Each file is
+    written atomically.
     """
     if delimiter not in (",", "\t"):
         raise ValueError(f"unsupported delimiter {delimiter!r}")
 
-    def write_split(split, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for item in split:
-                cells = [str(item.label)] + [format(v, ".17g") for v in item.series]
-                fh.write(delimiter.join(cells) + "\n")
-
-    write_split(dataset.train, train_path)
-    write_split(dataset.test, test_path)
+    for split, path in ((dataset.train, train_path), (dataset.test, test_path)):
+        atomic_write_bytes(path, "".join(
+            delimiter.join([str(item.label), *map(fmt17, item.series)]) + "\n"
+            for item in split
+        ).encode("utf-8"))
 
 
 def find_ucr_pair(data_dir, name: str) -> tuple[str, str]:

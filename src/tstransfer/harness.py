@@ -11,12 +11,13 @@ selection against a random-selection baseline.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
 import re
+import statistics
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .fcn import (
     NUMERICS_VERSION, TRAIN_DTYPE, TrainConfig, build_model, evaluate, train,
 )
 from .similarity import SimilarityMatrix, SourceRanking, rank_sources
-from .textfmt import dump_json_17g, fmt17
+from .textfmt import dump_csv_17g, dump_json_17g
 from .transfer import fine_tune
 
 __all__ = [
@@ -116,20 +117,6 @@ def _fine_tune_run(pretrained, target: Dataset, config: TrainConfig, seed: int):
     return tuned, history, {"head": head_seed, "finetune": finetune_seed}
 
 
-def _outcome(thunk):
-    """thunk(), or the exception it raised."""
-    try:
-        return thunk()
-    except Exception as exc:  # noqa: BLE001 - raised by each cell that needs it
-        return exc
-
-
-def _value(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def run_pair(
     source: Dataset, target: Dataset, config: TrainConfig, seed: int, _phase1=None
 ) -> PairResult:
@@ -138,19 +125,21 @@ def run_pair(
     The baseline's seeds depend only on (seed, target) and the pretraining
     seeds only on (seed, source), so every target has a single baseline and
     every source a single pretrained model for a given base seed; the
-    fine-tune seeds only on (seed, target). Deterministic per seed. `_phase1`
-    holds (target run, source run, baseline accuracy) as `_outcome` values.
+    fine-tune seeds only on (seed, target). Deterministic per seed. Phase 1
+    (both scratch trainings and the baseline evaluation) runs before the
+    fine-tune, so a failure there costs no fine-tune. `_phase1` holds
+    run_matrix's (target run, source run, baseline accuracy) in its place.
     """
     if source.name == target.name:
         raise ValueError(f"source and target must differ, got {source.name!r}")
     if _phase1 is None:
-        runs = [_scratch_run(d, config, seed) for d in (target, source)]
-        _phase1 = (*runs, _outcome(lambda: evaluate(runs[0][0], target.test)))
+        target_run = _scratch_run(target, config, seed)
+        source_run = _scratch_run(source, config, seed)
+        _phase1 = (target_run, source_run, evaluate(target_run[0], target.test))
     target_run, source_run, baseline_acc = _phase1
-    _, baseline_hist, baseline_seeds = _value(target_run)
-    pretrained, _, source_seeds = _value(source_run)
+    _, baseline_hist, baseline_seeds = target_run
+    pretrained, _, source_seeds = source_run
     tuned, tuned_hist, tuned_seeds = _fine_tune_run(pretrained, target, config, seed)
-    baseline_acc = _value(baseline_acc)
     transfer_acc = evaluate(tuned, target.test)
     variation = (
         accuracy_variation(baseline_acc, transfer_acc) if baseline_acc > 0 else None
@@ -257,10 +246,12 @@ def run_matrix(
     Stale cells are recomputed in two phases: phase 1 trains one scratch
     model per (dataset, seed) of those cells and evaluates each target's
     baseline once per seed, then phase 2 runs `run_pair` per cell and seed
-    on those results, the same as a lone `run_pair`'s. A failing cell, phase
-    1 included, is recorded and marked on disk (its stale result file
-    removed) without stopping the run. Cells run one after another, since
-    numpy's BLAS already uses every core.
+    on those results, the same as a lone `run_pair`'s. A cell whose phase-1
+    work failed records the first such failure (seeds in order; then the
+    target's training, the source's, the target's baseline) before any
+    fine-tune. A failing cell is recorded and marked on disk (its stale
+    result file removed) without stopping the run. Cells run one after
+    another, since numpy's BLAS already uses every core.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -299,19 +290,29 @@ def run_matrix(
                 continue
         todo.append((s, t, path))
 
+    # Phase 1 stores a failure in place of its value: a failed training in
+    # both tables, a failed baseline evaluation in `baselines` alone.
     runs, baselines = {}, {}
     for seed, d in [(seed, d) for seed in seeds for d in datasets]:
-        if any(d.name in cell[:2] for cell in todo):
-            runs[d.name, seed] = _outcome(lambda: _scratch_run(d, config, seed))
-        if any(d.name == cell[1] for cell in todo):
-            baselines[d.name, seed] = _outcome(
-                lambda: evaluate(_value(runs[d.name, seed])[0], d.test))
+        key = (d.name, seed)
+        try:
+            if any(d.name in cell[:2] for cell in todo):
+                runs[key] = _scratch_run(d, config, seed)
+            if any(d.name == cell[1] for cell in todo):
+                baselines[key] = evaluate(runs[key][0], d.test)
+        except Exception as exc:  # noqa: BLE001 - raised by each cell that needs it
+            runs.setdefault(key, exc)
+            baselines[key] = exc
     for s, t, path in todo:
         try:
+            phase1 = [(runs[t, seed], runs[s, seed], baselines[t, seed])
+                      for seed in seeds]
+            for value in chain(*phase1):
+                if isinstance(value, Exception):
+                    raise value
             record = _cell_record([
-                run_pair(by_name[s], by_name[t], config, seed,
-                         _phase1=(runs[t, seed], runs[s, seed], baselines[t, seed]))
-                for seed in seeds
+                run_pair(by_name[s], by_name[t], config, seed, _phase1=values)
+                for seed, values in zip(seeds, phase1, strict=True)
             ], provenance(s, t))
             matrix.cells[(s, t)] = record
             written, stale = "", ".failed"
@@ -346,7 +347,7 @@ def _read_record(path, keys=("source", "target")) -> dict:
     return record
 
 
-def load_matrix_results(out_dir, names=None) -> VariationMatrix:
+def load_matrix_results(out_dir) -> VariationMatrix:
     """Rebuild a VariationMatrix from a results directory written by run_matrix.
 
     All cell records must come from one run: the same seeds, the same
@@ -380,19 +381,17 @@ def load_matrix_results(out_dir, names=None) -> VariationMatrix:
     if both:
         raise DataValidationError(f"{out_dir}: cell {both[0]} completed and failed")
     _check_one_run(cells, out_dir)
-    if names is None:
-        names = tuple(sorted(seen))
-    return VariationMatrix(names=tuple(names), cells=cells, failures=failures)
+    return VariationMatrix(names=tuple(sorted(seen)), cells=cells, failures=failures)
 
 
 def _check_one_run(cells: dict, out_dir) -> None:
     first: dict[str, tuple] = {}  # what -> (first cell, its value)
 
     def claim(what, cell, value):
-        seen_cell, seen_value = first.setdefault(what, (cell, value))
-        if value != seen_value:
+        first_cell, first_claim = first.setdefault(what, (cell, value))
+        if value != first_claim:
             raise DataValidationError(
-                f"{out_dir}: cells {seen_cell} and {cell} disagree on {what}; "
+                f"{out_dir}: cells {first_cell} and {cell} disagree on {what}; "
                 "they come from different runs"
             )
 
@@ -405,15 +404,11 @@ def _check_one_run(cells: dict, out_dir) -> None:
 
 def write_variation_csv(matrix: VariationMatrix, path) -> None:
     """Rows are sources, columns targets; diagonal and missing cells are empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(matrix.names))
-        for source in matrix.names:
-            row = [source]
-            for target in matrix.names:
-                value = None if source == target else matrix.variation(source, target)
-                row.append("" if value is None else fmt17(value))
-            writer.writerow(row)
+    dump_csv_17g([["", *matrix.names]] + [
+        [source, *(None if source == target else matrix.variation(source, target)
+                   for target in matrix.names)]
+        for source in matrix.names
+    ], path)
 
 
 def aggregate(columns) -> dict[str, tuple[float, float, float]]:
@@ -424,15 +419,9 @@ def aggregate(columns) -> dict[str, tuple[float, float, float]]:
     """
     out: dict[str, tuple[float, float, float]] = {}
     for target, column in columns.items():
-        values = sorted(column.values())
-        if not values:
-            continue
-        k = len(values)
-        if k % 2 == 1:
-            median = values[k // 2]
-        else:
-            median = (values[k // 2 - 1] + values[k // 2]) / 2.0
-        out[target] = (values[0], median, values[-1])
+        if column:
+            values = sorted(column.values())
+            out[target] = (values[0], statistics.median(values), values[-1])
     return out
 
 
@@ -533,10 +522,7 @@ def write_report(
 
     if aggregate_path is not None:
         aggregates = aggregate(columns)
-        with open(aggregate_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["target", "min", "median", "max"])
-            for target in sorted(aggregates):
-                lo, med, hi = aggregates[target]
-                writer.writerow([target, fmt17(lo), fmt17(med), fmt17(hi)])
+        dump_csv_17g([["target", "min", "median", "max"]] + [
+            [target, *aggregates[target]] for target in sorted(aggregates)
+        ], aggregate_path)
     return report

@@ -16,7 +16,7 @@ import numpy as np
 from .core import DataValidationError, Dataset, group_by_class
 from .dba import DbaConfig, dba_average
 from .dtw import dtw_distance
-from .textfmt import dump_json_17g, fmt17
+from .textfmt import dump_csv_17g, dump_json_17g
 
 __all__ = [
     "ClassPrototypes",
@@ -167,11 +167,9 @@ def rank_sources(matrix: SimilarityMatrix, target: str) -> SourceRanking:
 
 def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:
     """CSV with a header row/column of names; 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(matrix.names))
-        for i, name in enumerate(matrix.names):
-            writer.writerow([name] + [fmt17(v) for v in matrix.values[i]])
+    dump_csv_17g([["", *matrix.names]] + [
+        [name, *row] for name, row in zip(matrix.names, matrix.values)
+    ], path)
 
 
 def read_matrix_csv(path) -> SimilarityMatrix:

@@ -1,19 +1,24 @@
-"""Text output helpers shared by the CSV/JSON report writers.
+"""Text output helpers: every file tstransfer writes goes through here.
 
 Floats are printed with 17 significant digits everywhere so that every
 emitted value round-trips to the exact same float64 on re-parse. The JSON
 writer is hand-rolled because the stdlib encoder always prints the shortest
-repr for floats.
+repr for floats. Every file is written atomically, so a writer that fails
+midway leaves the previous file in place.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import numbers
 import os
 import tempfile
 
-__all__ = ["fmt17", "dumps_json_17g", "dump_json_17g", "atomic_write_bytes"]
+__all__ = [
+    "fmt17", "dumps_json_17g", "dump_json_17g", "dump_csv_17g", "atomic_write_bytes",
+]
 
 
 def fmt17(value: float) -> str:
@@ -70,6 +75,15 @@ def dumps_json_17g(obj) -> str:
 
 def dump_json_17g(obj, path) -> None:
     atomic_write_bytes(path, dumps_json_17g(obj).encode("utf-8"))
+
+
+def dump_csv_17g(rows, path) -> None:
+    """Write rows as CSV: a str cell as is, None empty, a number with fmt17."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(
+        [c if c is None or isinstance(c, str) else fmt17(c) for c in row] for row in rows
+    )
+    atomic_write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

@@ -395,6 +395,29 @@ class TestRunMatrix:
             assert marker["error"] == error
         assert len(set(matrix.failures.values())) == 1
 
+    def test_a_target_without_test_series_costs_no_fine_tune(self, monkeypatch):
+        a, b = tiny_datasets(2)
+        b = Dataset(name="B", train=b.train, test=(), class_count=b.class_count)
+        tuned = record_calls(monkeypatch, harness, "fine_tune")
+        matrix = run_matrix([a, b], FAST)
+        # B's baseline fails in phase 1, so the cell into B fine-tunes nothing
+        assert [args["target"].name for _, args in tuned] == ["A"]
+        assert matrix.failures == {("A", "B"): "ValueError: evaluate: empty split"}
+        assert set(matrix.cells) == {("B", "A")}
+
+    def test_a_failed_training_at_a_later_seed_costs_no_fine_tune(self, monkeypatch):
+        failing = derive_seed(1, "B", "train")
+        record_calls(monkeypatch, harness, "train",
+                     fail=lambda a: a["config"].seed == failing)
+        tuned = record_calls(monkeypatch, harness, "fine_tune")
+        matrix = run_matrix(tiny_datasets(2), FAST, seeds=[0, 1])
+        # both cells need B at seed 1, so neither fine-tunes at seed 0
+        assert tuned == []
+        assert not matrix.cells
+        assert matrix.failures == {
+            cell: "RuntimeError: injected failure" for cell in (("A", "B"), ("B", "A"))
+        }
+
     def test_cell_with_samples_beyond_float32_records_the_cause(self):
         def beyond(n):
             return tuple(LabeledSeries(np.full(16, 1e39 * (-1) ** k), k % 2)
@@ -562,6 +585,18 @@ class TestOutputs:
         assert float(rows[1][2]) == 50.0
         assert rows[2][2] == ""  # diagonal
         assert rows[2][1] == ""  # missing cell
+
+    def test_a_failed_variation_csv_leaves_the_old_file(self, tmp_path):
+        matrix = VariationMatrix(names=("A", "B"))
+        matrix.cells[("A", "B")] = {"variation_percent": 50.0}
+        path = tmp_path / "vm.csv"
+        write_variation_csv(matrix, path)
+        written = path.read_bytes()
+        matrix.cells[("A", "B")] = {"variation_percent": object()}
+        with pytest.raises(TypeError):
+            write_variation_csv(matrix, path)
+        assert path.read_bytes() == written
+        assert [p.name for p in tmp_path.iterdir()] == ["vm.csv"]
 
     def test_write_report_outputs(self, tmp_path):
         datasets = tiny_datasets(3)

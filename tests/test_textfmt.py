@@ -1,0 +1,35 @@
+import ast
+import pathlib
+
+import tstransfer
+
+PACKAGE = pathlib.Path(tstransfer.__file__).parent
+
+
+def _opens_for_writing(tree):
+    """Line numbers of `open(...)` calls whose mode is not a read-only literal."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")):
+            yield node.lineno
+
+
+def test_only_textfmt_opens_files_for_writing():
+    # Every writer goes through textfmt's atomic writes, so a writer that
+    # fails midway never leaves a truncated file in place of the old one.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "textfmt.py"
+        for line in _opens_for_writing(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_check_sees_a_write_mode():
+    source = 'open(p)\nopen(p, "rb")\nopen(p, "w")\nopen(p, mode="a")\nopen(p, m)\n'
+    assert list(_opens_for_writing(ast.parse(source))) == [3, 4, 5]
