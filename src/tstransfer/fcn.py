@@ -240,10 +240,9 @@ def _pad_amounts(kernel: int) -> tuple[int, int]:
     return kernel // 2, (kernel - 1) // 2
 
 
-def _view(buf: np.ndarray, shape, dtype) -> np.ndarray:
-    """Array of this shape and dtype over the leading bytes of buf."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    return buf[:nbytes].view(dtype).reshape(shape)
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """Array of this shape over the leading elements of buf."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def _rows(seg: np.ndarray) -> np.ndarray:
@@ -485,9 +484,9 @@ class _Buffers:
 
     `fit(B, T)` sizes it for batches of up to max(B, batch) series of length
     T and keeps it while later batches fit; a new length frees it first. A
-    batch takes views of the leading bytes. The transient holds one block's
-    correlation rows (block 3's activations are written over them), then dy
-    and the padded output gradient.
+    batch takes views of its arrays' leading elements. The transient holds
+    one block's correlation rows (block 3's activations are written over
+    them), then dy and the padded output gradient.
     """
 
     def __init__(self, model: FcnModel, train: bool, batch: int = 1):
@@ -499,33 +498,32 @@ class _Buffers:
             return
         self.inputs = self.xhat = self.transient = None  # freed first
         self.batch, self.length = max(batch, self.floor), length
-        item = self.dtype.itemsize
-        segs = [self.batch * (length + k - 1) * item for k in KERNEL_SIZES]
+        segs = [self.batch * (length + k - 1) for k in KERNEL_SIZES]
         inputs = [s * c for s, c in zip(segs, self.widths)]
         outputs = [s * c for s, c in zip(segs, self.widths[1:])]
         if self.train:
-            self.inputs = [np.empty(n, np.uint8) for n in inputs]
+            self.inputs = [np.empty(n, self.dtype) for n in inputs]
             self.xhat = [np.empty(self.batch * length * c, self.dtype)
                          for c in self.widths[1:]]
         else:
-            self.inputs = [np.empty(max(inputs), np.uint8)] * 3
-        self.transient = np.empty(max(outputs), np.uint8)
+            self.inputs = [np.empty(max(inputs), self.dtype)] * 3
+        self.transient = np.empty(max(outputs), self.dtype)
 
     def block_input(self, i: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
         """Block i's padded input, its pad rows zeroed, and its x view."""
         shape = (batch, self.length + KERNEL_SIZES[i] - 1, self.widths[i])
-        seg = _view(self.inputs[i], shape, self.dtype)
+        seg = _view(self.inputs[i], shape)
         return _rows(seg), _zero_pads(seg, KERNEL_SIZES[i] // 2, self.length)
 
     def output(self, i: int, batch: int) -> np.ndarray:
         """Block i's (B, T+K-1, Cout) output segments in the transient."""
         shape = (batch, self.length + KERNEL_SIZES[i] - 1, self.widths[i + 1])
-        return _view(self.transient, shape, self.dtype)
+        return _view(self.transient, shape)
 
     def act(self, i: int, batch: int) -> np.ndarray:
         """A (B, T, Cout) array of block i in the transient."""
         shape = (batch, self.length, self.widths[i + 1])
-        return _view(self.transient, shape, self.dtype)
+        return _view(self.transient, shape)
 
 
 def _train_forward(model: FcnModel, x: np.ndarray, bufs: _Buffers | None = None):

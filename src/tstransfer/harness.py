@@ -327,8 +327,23 @@ def run_matrix(
     return matrix
 
 
-def _read_record(path, keys=("source", "target")) -> dict:
-    """A cell file's JSON object holding `keys`.
+def _is_accuracy(value) -> bool:
+    return type(value) in (int, float) and 0 <= value <= 1
+
+
+# What a resume and `report` read from a cell file, and what each must be.
+_CELL_FIELDS = {
+    "source": lambda value: type(value) is str,
+    "target": lambda value: type(value) is str,
+    "baseline_accuracy": _is_accuracy,
+    "transfer_accuracy": _is_accuracy,
+    "variation_percent": lambda value: value is None or type(value) in (int, float),
+}
+_FAILED_FIELDS = {key: _CELL_FIELDS["source"] for key in ("source", "target", "error")}
+
+
+def _read_record(path, fields=_CELL_FIELDS) -> dict:
+    """A cell file's JSON object holding `fields`, each passing its check.
 
     DataValidationError naming the file otherwise.
     """
@@ -341,9 +356,12 @@ def _read_record(path, keys=("source", "target")) -> dict:
         raise DataValidationError(
             f"{path}: a cell file holds a JSON object, not {type(record).__name__}"
         )
-    missing = [key for key in keys if key not in record]
+    missing = [key for key in fields if key not in record]
     if missing:
         raise DataValidationError(f"{path}: cell file lacks the keys {missing}")
+    bad = {key: record[key] for key, ok in fields.items() if not ok(record[key])}
+    if bad:
+        raise DataValidationError(f"{path}: cell file has bad values {bad}")
     return record
 
 
@@ -355,9 +373,11 @@ def load_matrix_results(out_dir) -> VariationMatrix:
     dataset name, the same content digest. A resumed run that changed any of
     them overwrites only its own cells, so a mix is refused with a
     DataValidationError naming two cells that disagree. A cell file that is
-    not a JSON object, or lacks its `source`, `target` or (for a failure)
-    `error` key, raises DataValidationError naming the file; so does a cell
-    both completed and failed.
+    not a JSON object, lacks a field that `report` reads or holds a bad value
+    there (`source`, `target` and a failure's `error` strings, accuracies
+    numbers in [0, 1], `variation_percent` a number or null) raises
+    DataValidationError naming the file; so does a cell both completed and
+    failed.
     """
     cells_dir = os.path.join(out_dir, "cells")
     if not os.path.isdir(cells_dir):
@@ -368,7 +388,7 @@ def load_matrix_results(out_dir) -> VariationMatrix:
     for fname in sorted(os.listdir(cells_dir)):
         path = os.path.join(cells_dir, fname)
         if fname.endswith(".json.failed"):
-            record = _read_record(path, ("source", "target", "error"))
+            record = _read_record(path, _FAILED_FIELDS)
             failures[(record["source"], record["target"])] = record["error"]
             continue
         if not fname.endswith(".json"):

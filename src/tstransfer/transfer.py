@@ -4,9 +4,10 @@ Models are written to `.fcn` files: an 8-byte magic, a little-endian uint64
 header length, a UTF-8 JSON manifest (format version, filter/kernel
 configuration, class count, and a named tensor directory with shapes and
 payload byte offsets), then the tensor payload as contiguous little-endian
-float32 data in directory order. Saving rounds each tensor to the nearest
-float32, which loses nothing for a float32 model; loading returns a float32
-model.
+float32 data in directory order. A file loads only if its header equals
+the one `save_model` writes for the filters and class count it declares.
+Saving rounds each tensor to the nearest float32, which loses nothing for
+a float32 model; loading returns a float32 model.
 """
 
 from __future__ import annotations
@@ -55,18 +56,27 @@ class UnknownModelVersionError(ModelFileError):
 
 
 class ModelShapeError(ModelFileError):
-    """A tensor's declared or stored shape contradicts the architecture."""
+    """The header is not the one written for the architecture it declares."""
 
 
 class TruncatedModelFileError(ModelFileError):
     """The file ends before the declared payload does."""
 
 
-def _declared_tuple(value, what: str, path) -> tuple:
-    """A header list as a tuple; any other JSON value is a ModelShapeError."""
-    if not isinstance(value, list):
-        raise ModelShapeError(f"{path}: {what} must be a list, got {value!r}")
-    return tuple(value)
+def _header(filters, class_count: int) -> dict:
+    """The one header `save_model` writes and `load_model` accepts."""
+    directory, offset = [], 0
+    for name, shape in layer_spec(filters, class_count).items():
+        directory.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape) * np.dtype(_PAYLOAD_DTYPE).itemsize
+    return {
+        "format_version": MODEL_FORMAT_VERSION,
+        "class_count": class_count,
+        "filters": list(filters),
+        "kernels": list(KERNEL_SIZES),
+        "dtype": _PAYLOAD_DTYPE,
+        "tensors": directory,
+    }
 
 
 def save_model(model: FcnModel, path) -> None:
@@ -75,30 +85,14 @@ def save_model(model: FcnModel, path) -> None:
     The write is atomic: a temp file in the same directory is renamed over
     the destination. I/O errors carry the path.
     """
-    directory = []
-    chunks = []
-    offset = 0
-    for name, tensor in model.items():
-        data = np.ascontiguousarray(tensor, dtype=_PAYLOAD_DTYPE).tobytes()
-        directory.append(
-            {"name": name, "shape": list(tensor.shape), "offset": offset}
-        )
-        chunks.append(data)
-        offset += len(data)
-    header = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "class_count": model.class_count,
-        "filters": list(model.filters),
-        "kernels": list(KERNEL_SIZES),
-        "dtype": _PAYLOAD_DTYPE,
-        "tensors": directory,
-    }
+    header = _header(model.filters, model.class_count)
     header_bytes = json.dumps(header).encode("utf-8")
     blob = (
         MODEL_MAGIC
         + len(header_bytes).to_bytes(8, "little")
         + header_bytes
-        + b"".join(chunks)
+        + b"".join(model[entry["name"]].astype(_PAYLOAD_DTYPE).tobytes()
+                   for entry in header["tensors"])
     )
     try:
         atomic_write_bytes(path, blob)
@@ -109,8 +103,10 @@ def save_model(model: FcnModel, path) -> None:
 def load_model(path) -> FcnModel:
     """Read a model file back as a float32 model.
 
-    Every declared shape and offset is validated; a malformed file raises a
-    ModelFileError subclass.
+    The header must equal `_header` of the filters and class count it
+    declares (ModelShapeError otherwise, for an unknown key or a moved
+    offset too), and the payload must be exactly the size its directory
+    gives. A malformed file raises a ModelFileError subclass.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -137,53 +133,33 @@ def load_model(path) -> FcnModel:
         raise ModelFileError(
             f"{path}: payload dtype {dtype!r} is not {_PAYLOAD_DTYPE!r}"
         )
-    filters = _declared_tuple(header.get("filters"), "filters", path)
-    kernels = _declared_tuple(header.get("kernels"), "kernels", path)
-    class_count = header.get("class_count")
-    if kernels != KERNEL_SIZES:
-        raise ModelShapeError(f"{path}: kernel sizes {kernels} != {KERNEL_SIZES}")
-    if len(filters) != 3 or any(not isinstance(f, int) or f < 1 for f in filters):
-        raise ModelShapeError(f"{path}: bad filter configuration {filters}")
-    if not isinstance(class_count, int) or class_count < 2:
+    filters, class_count = header.get("filters"), header.get("class_count")
+    if (not isinstance(filters, list) or len(filters) != 3
+            or any(type(f) is not int or f < 1 for f in filters)):
+        raise ModelShapeError(f"{path}: bad filter configuration {filters!r}")
+    if type(class_count) is not int or class_count < 2:
         raise ModelFileError(f"{path}: bad class_count {class_count!r}")
-
-    expected = layer_spec(filters, class_count)
-    directory = header.get("tensors")
-    if not isinstance(directory, list) or not all(
-        isinstance(entry, dict) for entry in directory
-    ):
-        raise ModelFileError(f"{path}: tensor directory is not a list of objects")
-    names = [entry.get("name") for entry in directory]
-    if names != list(expected):
-        raise ModelShapeError(
-            f"{path}: tensor directory {names} does not match the architecture"
-        )
+    expected = _header(filters, class_count)
+    if header != expected:
+        absent = object()
+        keys = sorted(k for k in header.keys() | expected.keys()
+                      if header.get(k, absent) != expected.get(k, absent))
+        raise ModelShapeError(f"{path}: header differs from the one written for "
+                              f"filters {filters}, {class_count} classes in {keys}")
     payload = blob[header_start + header_len :]
-    itemsize = np.dtype(_PAYLOAD_DTYPE).itemsize
-    offset = 0
-    arrays: dict[str, np.ndarray] = {}
-    for entry in directory:
-        name = entry["name"]
-        shape = _declared_tuple(entry.get("shape"), f"tensor {name} shape", path)
-        if shape != expected[name]:
-            raise ModelShapeError(
-                f"{path}: tensor {name} declared {shape}, expected {expected[name]}"
-            )
-        if entry.get("offset") != offset:
-            raise ModelFileError(
-                f"{path}: tensor {name} offset {entry.get('offset')} is not "
-                f"contiguous (expected {offset})"
-            )
-        count = math.prod(expected[name])
-        if len(payload) < offset + count * itemsize:
-            raise TruncatedModelFileError(f"{path}: payload truncated at {name}")
-        raw = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE, count=count, offset=offset)
-        arrays[name] = raw.astype(np.float32).reshape(expected[name])
-        offset += count * itemsize
-    if len(payload) != offset:
-        raise ModelFileError(
-            f"{path}: {len(payload) - offset} trailing bytes after the payload"
+    sizes = [math.prod(entry["shape"]) for entry in expected["tensors"]]
+    size = sum(sizes) * np.dtype(_PAYLOAD_DTYPE).itemsize
+    if len(payload) < size:
+        raise TruncatedModelFileError(
+            f"{path}: payload truncated at {len(payload)} of {size} bytes"
         )
+    if len(payload) > size:
+        raise ModelFileError(f"{path}: {len(payload) - size} bytes after the payload")
+    parts = np.split(np.frombuffer(payload, _PAYLOAD_DTYPE), np.cumsum(sizes)[:-1])
+    arrays = {
+        entry["name"]: part.astype(np.float32).reshape(entry["shape"])
+        for entry, part in zip(expected["tensors"], parts)
+    }
     for i in (1, 2, 3):
         if (arrays[f"bn{i}.running_var"] <= 0).any():
             raise ModelFileError(f"{path}: bn{i} running variance must be positive")

@@ -43,6 +43,12 @@ def tiny_datasets(n=2, seed=50):
     ]
 
 
+def without_transfer_accuracy(text):
+    record = json.loads(text)
+    del record["transfer_accuracy"]
+    return json.dumps(record)
+
+
 def cells_of(calls):
     """The (source, target) names of logged run_pair calls."""
     return [(a["source"].name, a["target"].name) for _, a in calls]
@@ -296,7 +302,10 @@ class TestRunMatrix:
         loaded = load_matrix_results(out)
         assert loaded.cells == matrix.cells
 
-    @pytest.mark.parametrize("content", ["[]", '{"source": "A", "tar'])
+    @pytest.mark.parametrize("content", [
+        "[]", '{"source": "A", "tar',
+        pytest.param(without_transfer_accuracy, id="no_transfer_accuracy"),
+    ])
     def test_resume_recomputes_a_malformed_cell_file(
         self, tmp_path, monkeypatch, content
     ):
@@ -305,7 +314,8 @@ class TestRunMatrix:
         fresh = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
         path = out / "cells" / "A__B.json"
         written = path.read_bytes()
-        path.write_text(content)
+        path.write_text(content if isinstance(content, str)
+                        else content(written.decode()))
         pairs = record_calls(monkeypatch, harness, "run_pair")
         resumed = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
         assert cells_of(pairs) == [("A", "B")]
@@ -323,7 +333,8 @@ class TestRunMatrix:
     @pytest.mark.parametrize(
         "fname, key",
         [("A__B.json", "source"), ("A__B.json", "target"),
-         ("A__B.json.failed", "error")],
+         ("A__B.json.failed", "error"), ("A__B.json", "baseline_accuracy"),
+         ("A__B.json", "transfer_accuracy"), ("A__B.json", "variation_percent")],
     )
     def test_load_names_a_cell_file_without_a_key(self, tmp_path, fname, key):
         out = tmp_path / "keys"
@@ -336,6 +347,23 @@ class TestRunMatrix:
         path.write_text(json.dumps(record))
         with pytest.raises(DataValidationError, match=rf"{fname}: .*'{key}'"):
             load_matrix_results(out)
+
+    @pytest.mark.parametrize("value", ["0.5", 1.5, True, float("nan")])
+    def test_a_cell_file_with_a_bad_accuracy_is_named_and_recomputed(
+        self, tmp_path, monkeypatch, value
+    ):
+        datasets = tiny_datasets(2)
+        out = tmp_path / "bad"
+        fresh = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
+        path = out / "cells" / "A__B.json"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "transfer_accuracy": value}))
+        with pytest.raises(DataValidationError,
+                           match=r"A__B\.json: .*transfer_accuracy"):
+            load_matrix_results(out)
+        pairs = record_calls(monkeypatch, harness, "run_pair")
+        assert run_matrix(datasets, FAST, seeds=[0], out_dir=out).cells == fresh.cells
+        assert cells_of(pairs) == [("A", "B")]
 
     def test_load_refuses_cells_of_different_runs(self, tmp_path):
         out = tmp_path / "mixed"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -147,6 +148,55 @@ class TestSaveLoad:
         rewrite_header(path, edit)
         with pytest.raises(ModelFileError):
             load_model(path)
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # the version-1 format, byte for byte: header keys and their order,
+        # directory entries, offsets and the <f4 payload
+        path = tmp_path / "m.fcn"
+        save_model(nudge_stats(build_model(3, seed=42, filters=TINY), 43), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7e2c47e3bf11f83085a5c5e81ffe01a22fc714b7b06f4bf35bb5e22235056cc0"
+        )
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.update(comment="x"),
+        lambda header: header["tensors"][3].update(stride=1),
+        lambda header: header["tensors"][5].update(
+            offset=header["tensors"][5]["offset"] + 4),
+    ], ids=["unknown_key", "unknown_entry_key", "moved_offset"])
+    def test_header_other_than_the_written_one(self, tmp_path, edit):
+        path = tmp_path / "m.fcn"
+        save_model(build_model(2, seed=11, filters=TINY), path)
+        rewrite_header(path, edit)
+        with pytest.raises(ModelShapeError, match="header differs"):
+            load_model(path)
+
+    def test_a_filter_written_as_a_bool_is_rejected(self, tmp_path):
+        # JSON true equals 1, so it once passed the filter check and made
+        # reshape raise TypeError
+        path = tmp_path / "m.fcn"
+        save_model(build_model(2, seed=12, filters=(1, 6, 3)), path)
+
+        def first_filter_true(header):
+            header["filters"][0] = True
+            header["tensors"][0]["shape"][0] = True
+
+        rewrite_header(path, first_filter_true)
+        with pytest.raises(ModelShapeError, match="filter"):
+            load_model(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(filters=st.tuples(*[st.integers(1, 8)] * 3),
+           class_count=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_float32_models_round_trip_bit_exact(self, tmp_path_factory, filters,
+                                                 class_count, seed):
+        model = clone_model(nudge_stats(
+            build_model(class_count, seed=seed, filters=filters), seed), np.float32)
+        path = tmp_path_factory.mktemp("rt") / "m.fcn"
+        save_model(model, path)
+        back = load_model(path)
+        assert list(back) == list(model)
+        assert model_bytes(back) == model_bytes(model)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
