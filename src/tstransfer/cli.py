@@ -126,14 +126,7 @@ def _cmd_report(args) -> int:
     if aggregate_path is None:
         base, _ = os.path.splitext(args.out)
         aggregate_path = base + ".aggregate.csv"
-    report = write_report(
-        matrix,
-        similarity,
-        args.out,
-        aggregate_path=aggregate_path,
-        iterations=args.random_iters,
-        seed=args.seed,
-    )
+    report = write_report(matrix, similarity, args.out, aggregate_path=aggregate_path)
     totals = report["totals"]
     print(
         f"smart vs random: {totals['wins']} wins, {totals['ties']} ties, "
@@ -198,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True, help="matrix run output directory")
     p.add_argument("--matrix", required=True, help="similarity matrix CSV")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--random-iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--aggregate-out", default=None)
     p.set_defaults(func=_cmd_report)
     return parser

@@ -17,9 +17,8 @@ import os
 import re
 import statistics
 from dataclasses import asdict, dataclass, field, replace
+from fractions import Fraction
 from itertools import chain
-
-import numpy as np
 
 from .core import DataValidationError, Dataset
 from .fcn import (
@@ -47,10 +46,6 @@ __all__ = [
 # The provenance every cell of one run shares, besides the dataset digests.
 # Resume and load_matrix_results both check these keys.
 _RUN_KEYS = ("seeds", "config", "train_dtype", "numerics_version")
-
-# Sampled random-selection means carry float summation noise; comparisons
-# treat differences at or below this as ties.
-_TIE_TOLERANCE = 1e-9
 
 
 class UndefinedVariationError(ValueError):
@@ -445,23 +440,18 @@ def aggregate(columns) -> dict[str, tuple[float, float, float]]:
     return out
 
 
-def compare_selection(
-    columns, rankings, iterations: int = 1000, seed: int = 0
-) -> dict:
+def compare_selection(columns, rankings) -> dict:
     """Similarity-guided source selection versus random selection.
 
     `columns` is {target: {source: accuracy}}; `rankings` maps each target
     to its SourceRanking. For every target the report lists the transfer
-    accuracy of the rank-1 source (and ranks 2 and 3 when they exist), the
-    random baseline as the mean accuracy over `iterations` uniform source
-    draws, and the exact column mean for reference. Totals count wins, ties,
-    and losses of rank-1 selection against the sampled random baseline.
-    Reproducible for a given seed.
+    accuracy of the rank-1 source (and ranks 2 and 3 when they exist) and
+    `random_mean_exact`, the expected accuracy of a uniformly drawn source:
+    the column mean, summed as exact fractions and rounded once to a float.
+    The outcome compares rank-1 with that mean exactly, so a tie means
+    equality; totals count the wins, ties and losses.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     targets = {}
-    wins = ties = losses = 0
     for target in sorted(columns):
         column = columns[target]
         if not column:
@@ -479,33 +469,18 @@ def compare_selection(
                     f"target {target!r}"
                 )
             smart[f"rank{rank}"] = {"source": source, "accuracy": column[source]}
-        sources = sorted(column)
-        values = [column[s] for s in sources]
-        rng = np.random.default_rng(derive_seed(seed, "selection", target))
-        draws = rng.integers(0, len(sources), size=iterations)
-        sampled_mean = sum(values[k] for k in draws) / iterations
-        exact_mean = sum(values) / len(values)
-        diff = smart["rank1"]["accuracy"] - sampled_mean
-        if abs(diff) <= _TIE_TOLERANCE:
-            outcome = "tie"
-            ties += 1
-        elif diff > 0:
-            outcome = "win"
-            wins += 1
-        else:
-            outcome = "loss"
-            losses += 1
+        mean = sum(map(Fraction, column.values())) / len(column)
+        rank1 = Fraction(smart["rank1"]["accuracy"])
         targets[target] = {
             "smart": smart,
-            "random_mean_sampled": sampled_mean,
-            "random_mean_exact": exact_mean,
-            "outcome": outcome,
+            "random_mean_exact": float(mean),
+            "outcome": "win" if rank1 > mean else "loss" if rank1 < mean else "tie",
         }
+    outcomes = [entry["outcome"] for entry in targets.values()]
     return {
-        "iterations": iterations,
-        "seed": seed,
         "targets": targets,
-        "totals": {"wins": wins, "ties": ties, "losses": losses},
+        "totals": {"wins": outcomes.count("win"), "ties": outcomes.count("tie"),
+                   "losses": outcomes.count("loss")},
     }
 
 
@@ -514,26 +489,27 @@ def write_report(
     similarity: SimilarityMatrix,
     out_path,
     aggregate_path=None,
-    iterations: int = 1000,
-    seed: int = 0,
 ) -> dict:
     """Emit the selection report JSON plus the per-target aggregate CSV.
 
     Rankings come from the similarity matrix; every experiment target must
-    be present in it. Each target's sources are ranked among its completed
-    cells: a source whose cell failed is skipped. Returns the report dict.
+    be present in it, and it may hold more datasets than the run. Each
+    target's sources are ranked among the run's datasets, skipping a source
+    whose cell failed; a ranked source with no completed cell raises
+    KeyError. Returns the report dict.
     """
     for name in matrix.names:
         if name not in similarity:
             raise KeyError(f"dataset {name!r} missing from the similarity matrix")
-    rankings: dict[str, SourceRanking] = {}
-    for name in matrix.names:
-        ranked = rank_sources(similarity, name).ranked
-        rankings[name] = SourceRanking(
-            name, tuple(e for e in ranked if (e[0], name) not in matrix.failures)
-        )
+    rankings = {
+        name: SourceRanking(name, tuple(
+            e for e in rank_sources(similarity, name).ranked
+            if e[0] in matrix.names and (e[0], name) not in matrix.failures
+        ))
+        for name in matrix.names
+    }
     columns = matrix.target_accuracies()
-    report = compare_selection(columns, rankings, iterations=iterations, seed=seed)
+    report = compare_selection(columns, rankings)
     report["failures"] = [
         {"source": s, "target": t, "error": err}
         for (s, t), err in sorted(matrix.failures.items())

@@ -243,10 +243,34 @@ class TestMatrixReportPipeline:
 
         report_path = tmp_path / "report.json"
         rc = run(["report", "--results", results, "--matrix", matrix_path,
-                  "--out", report_path, "--random-iters", "50"])
+                  "--out", report_path])
         assert rc == 0
         report = json.loads(report_path.read_text())
         assert set(report["targets"]) == {"A", "B", "C"}
         assert sum(report["totals"].values()) == 3
         agg_path = tmp_path / "report.aggregate.csv"
         assert agg_path.exists()
+
+    def test_report_over_a_similarity_matrix_wider_than_the_run(
+        self, tmp_path, data_dir
+    ):
+        extra = make_sine_dataset("D", (2.1, 5.2), n_train=8, n_test=6, length=16,
+                                  seed=63)
+        save_ucr_dataset(extra, data_dir / "D_TRAIN.tsv", data_dir / "D_TEST.tsv",
+                         delimiter="\t")
+        matrix_path = tmp_path / "matrix.csv"
+        assert run(["similarity", "--data", data_dir, "--datasets", "A,B,C,D",
+                    "--out", matrix_path, "--dba-iters", "2"]) == 0
+        results = tmp_path / "results"
+        assert run(["matrix", "--data", data_dir, "--datasets", "A,B,C",
+                    "--out-dir", results, "--epochs", "1", "--batch", "8"]) == 0
+
+        report_path = tmp_path / "report.json"
+        assert run(["report", "--results", results, "--matrix", matrix_path,
+                    "--out", report_path]) == 0
+        report = json.loads(report_path.read_text())
+        assert set(report["targets"]) == {"A", "B", "C"}
+        for target, entry in report["targets"].items():
+            ranked = {entry["smart"][f"rank{k}"]["source"] for k in (1, 2)}
+            assert ranked == {"A", "B", "C"} - {target}
+            assert entry["smart"]["rank3"] is None

@@ -4,6 +4,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tstransfer.harness as harness
 from helpers import make_sine_dataset, record_calls
@@ -551,20 +553,30 @@ def ranking(target, *ordered):
     )
 
 
+def outcome_of(column, rank1):
+    rankings = {"t": ranking("t", rank1, *sorted(set(column) - {rank1}))}
+    return compare_selection({"t": column}, rankings)["targets"]["t"]
+
+
 class TestCompareSelection:
-    def test_all_equal_column_is_tie_for_any_seed(self):
-        columns = {"t": {"a": 0.6, "b": 0.6, "c": 0.6}}
-        rankings = {"t": ranking("t", "a", "b", "c")}
-        for seed in (0, 1, 99):
-            report = compare_selection(columns, rankings, iterations=100, seed=seed)
-            assert report["targets"]["t"]["outcome"] == "tie"
-            assert abs(report["targets"]["t"]["random_mean_sampled"] - 0.6) < 1e-9
-            assert report["targets"]["t"]["random_mean_exact"] == 0.6
+    @pytest.mark.parametrize("column, rank1, outcome, mean", [
+        ({"a": 0.9, "b": 0.5, "c": 0.1}, "a", "win", 0.5),
+        ({"a": 0.9, "b": 0.5, "c": 0.1}, "c", "loss", 0.5),
+        ({"a": 0.6, "b": 0.6, "c": 0.6}, "b", "tie", 0.6),
+        # rank-1 equals the mean exactly
+        ({"a": 0.5, "b": 0.25, "c": 0.75}, "a", "tie", 0.5),
+        # (0.2 + 0.1 + 0.3) / 3 is 0.20000000000000004 in floats, but the
+        # exact mean of the three doubles lies below the double 0.2
+        ({"a": 0.2, "b": 0.1, "c": 0.3}, "a", "win", 0.2),
+    ], ids=["win", "loss", "all-equal-tie", "tie-at-the-mean", "win-below-0.2"])
+    def test_rank1_against_the_exact_mean(self, column, rank1, outcome, mean):
+        entry = outcome_of(column, rank1)
+        assert (entry["outcome"], entry["random_mean_exact"]) == (outcome, mean)
 
     def test_strictly_best_rank1_wins(self):
         columns = {"t": {"a": 0.9, "b": 0.5, "c": 0.1}}
         rankings = {"t": ranking("t", "a", "b", "c")}
-        report = compare_selection(columns, rankings, iterations=500, seed=7)
+        report = compare_selection(columns, rankings)
         assert report["targets"]["t"]["outcome"] == "win"
         assert report["totals"] == {"wins": 1, "ties": 0, "losses": 0}
         smart = report["targets"]["t"]["smart"]
@@ -575,26 +587,23 @@ class TestCompareSelection:
     def test_missing_ranks_are_none(self):
         columns = {"t": {"a": 0.4}}
         rankings = {"t": ranking("t", "a")}
-        report = compare_selection(columns, rankings, iterations=10, seed=0)
+        report = compare_selection(columns, rankings)
         smart = report["targets"]["t"]["smart"]
         assert smart["rank2"] is None and smart["rank3"] is None
 
-    def test_reproducible_for_seed(self):
-        rng = np.random.default_rng(1)
-        columns = {
-            t: {s: float(rng.uniform()) for s in "abc"} for t in ("t1", "t2")
-        }
-        rankings = {t: ranking(t, "a", "b", "c") for t in columns}
-        r1 = compare_selection(columns, rankings, iterations=250, seed=5)
-        r2 = compare_selection(columns, rankings, iterations=250, seed=5)
-        assert r1 == r2
-
-    def test_sampled_mean_approaches_exact_mean(self):
-        columns = {"t": {"a": 0.0, "b": 1.0}}
-        rankings = {"t": ranking("t", "a", "b")}
-        report = compare_selection(columns, rankings, iterations=20000, seed=3)
-        t = report["targets"]["t"]
-        assert abs(t["random_mean_sampled"] - t["random_mean_exact"]) < 0.02
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_outcome_agrees_with_the_printed_mean(self, data):
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+        sources = [f"s{k}" for k in range(len(values))]
+        column = dict(zip(sources, values))
+        rank1 = data.draw(st.sampled_from(sources))
+        entry = outcome_of(column, rank1)
+        accuracy, mean = column[rank1], entry["random_mean_exact"]
+        assert {"win": accuracy >= mean, "loss": accuracy <= mean,
+                "tie": accuracy == mean}[entry["outcome"]]
+        shuffled = dict(data.draw(st.permutations(list(column.items()))))
+        assert outcome_of(shuffled, rank1) == entry
 
 
 class TestOutputs:
@@ -635,7 +644,7 @@ class TestOutputs:
         )
         out = tmp_path / "report.json"
         agg = tmp_path / "aggregate.csv"
-        report = write_report(matrix, sim, out, aggregate_path=agg, iterations=50)
+        report = write_report(matrix, sim, out, aggregate_path=agg)
         data = json.loads(out.read_text())
         assert data["totals"] == report["totals"]
         assert set(data["targets"]) == {"A", "B", "C"}
@@ -655,14 +664,30 @@ class TestOutputs:
             ("A", "B", "C"),
             np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
         )
-        report = write_report(matrix, sim, tmp_path / "report.json", iterations=50)
+        report = write_report(matrix, sim, tmp_path / "report.json")
         smart = report["targets"]["A"]["smart"]
         assert smart["rank1"]["source"] == "C" and smart["rank2"] is None
         assert [(f["source"], f["target"]) for f in report["failures"]] == [("B", "A")]
         # a ranked source with neither a result nor a failure is an error
         del matrix.cells[("A", "B")]
         with pytest.raises(KeyError, match="ranked source 'A' has no transfer"):
-            write_report(matrix, sim, tmp_path / "report.json", iterations=50)
+            write_report(matrix, sim, tmp_path / "report.json")
+
+    def test_report_skips_similarity_datasets_outside_the_run(self, tmp_path):
+        matrix = run_matrix(tiny_datasets(3), FAST, seeds=[0])
+        # D is the nearest dataset to every target, but not part of the run
+        sim = SimilarityMatrix(
+            ("A", "B", "C", "D"),
+            np.array([[0.0, 1.0, 2.0, 0.5], [1.0, 0.0, 3.0, 0.5],
+                      [2.0, 3.0, 0.0, 0.5], [0.5, 0.5, 0.5, 0.0]]),
+        )
+        report = write_report(matrix, sim, tmp_path / "report.json")
+        assert set(report["targets"]) == {"A", "B", "C"}
+        ranked = {t: [r and r["source"] for r in entry["smart"].values()]
+                  for t, entry in report["targets"].items()}
+        assert ranked == {
+            "A": ["B", "C", None], "B": ["A", "C", None], "C": ["A", "B", None],
+        }
 
     def test_floats_printed_with_17_digits(self, tmp_path):
         from tstransfer.textfmt import fmt17
