@@ -128,9 +128,11 @@ def _cmd_report(args) -> int:
         aggregate_path = base + ".aggregate.csv"
     report = write_report(matrix, similarity, args.out, aggregate_path=aggregate_path)
     totals = report["totals"]
+    idle = [n for n in matrix.names if not any(n in cell for cell in matrix.cells)]
     print(
         f"smart vs random: {totals['wins']} wins, {totals['ties']} ties, "
         f"{totals['losses']} losses over {len(report['targets'])} targets"
+        + (f"; no completed cell for {', '.join(idle)}" if idle else "")
     )
     print(f"wrote report to {args.out} and aggregates to {aggregate_path}")
     return 0

@@ -1,8 +1,8 @@
 """Core time-series containers, z-normalization, and UCR-format file ingestion.
 
-A time series is represented as a read-only 1-D float64 numpy array. Labeled
-collections are small frozen dataclasses so they can be shared freely across
-threads once constructed.
+A time series is a read-only 1-D float64 numpy array; `as_series`, the one
+check that every entry point applies, returns it. Labeled collections are
+small frozen dataclasses so they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -41,19 +41,21 @@ class UcrParseError(ValueError):
     """A UCR-format record file is malformed."""
 
 
-def as_series(values) -> np.ndarray:
+def as_series(values, name: str = "time series") -> np.ndarray:
     """Validate a univariate time series and return it as a frozen float64 array.
 
-    Raises DataValidationError if the input is not 1-D, is empty, or contains
-    non-finite samples.
+    A scalar is a one-sample series. More than one dimension, no samples or
+    a non-finite sample raise DataValidationError naming the series `name`.
     """
-    arr = np.array(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64, ndmin=1)
     if arr.ndim != 1:
-        raise DataValidationError(f"time series must be 1-D, got shape {arr.shape}")
+        raise DataValidationError(
+            f"{name} must be one-dimensional, got shape {arr.shape}"
+        )
     if arr.size < 1:
-        raise DataValidationError("time series must contain at least one sample")
+        raise DataValidationError(f"{name} must contain at least one sample")
     if not np.isfinite(arr).all():
-        raise DataValidationError("time series contains non-finite samples")
+        raise DataValidationError(f"{name} contains non-finite samples")
     arr.flags.writeable = False
     return arr
 
@@ -198,11 +200,8 @@ def _parse_ucr_file(path) -> tuple[list[float], list[np.ndarray]]:
             )
         if not np.isfinite(label):
             raise DataValidationError(f"{path}:{lineno}: non-finite label")
-        arr = np.array(values, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise DataValidationError(f"{path}:{lineno}: non-finite sample")
         labels.append(label)
-        series.append(arr)
+        series.append(as_series(values, f"{path}:{lineno}: series"))
     return labels, series
 
 

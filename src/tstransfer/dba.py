@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_series
 from .dtw import dtw_paths, medoid
 
 __all__ = ["DbaConfig", "dba_iteration", "dba_average"]
@@ -41,8 +42,8 @@ def dba_iteration(prototype, members) -> np.ndarray:
     exactly and the step is deterministic (fixed tie-breaking in dtw_paths,
     samples summed in member order, then path order).
     """
-    proto = np.asarray(prototype, dtype=np.float64)
-    members = [np.atleast_1d(np.asarray(m, dtype=np.float64)) for m in members]
+    proto = as_series(prototype, "dba: prototype")
+    members = [as_series(m, f"dba: members[{k}]") for k, m in enumerate(members)]
     if not members:
         raise ValueError("dba_iteration: empty member set")
     coords, samples = [], []
@@ -72,7 +73,7 @@ def dba_average(members, config: DbaConfig = DbaConfig()) -> np.ndarray:
     members = list(members)
     if not members:
         raise ValueError("dba_average: empty member set")
-    proto = np.array(members[medoid(members)], dtype=np.float64)
+    proto = members[medoid(members)]
     for _ in range(config.iterations):
         previous, proto = proto, dba_iteration(proto, members)
         if np.array_equal(proto, previous):

@@ -31,8 +31,8 @@ predecessors. A minimum is exact in any order, and adding an inf-padded
 neighbour changes nothing on row 0 and column 0: those cells become
 d*d + left and d*d + up, which equal the loop's left + d*d and up + d*d
 under IEEE commutativity. Every cell, and so every cost and backtracked
-path, is therefore bit-identical to the loop. Samples must be finite: a NaN
-would propagate through np.minimum where the loop's `<` skips it.
+path, is therefore bit-identical to the loop. `core.as_series` keeps samples
+finite: a NaN would propagate through np.minimum where the loop's `<` skips it.
 
 Memory: the distance fills a table of `_DISTANCE_ROWS` diagonals block by
 block, carrying the last two diagonals into the next block, so it needs
@@ -48,6 +48,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import as_series
+
 __all__ = [
     "dtw_distance",
     "dtw_path",
@@ -62,20 +64,6 @@ _PATH_TABLE_BYTES = 64 * 2**20
 
 # Rows of the table `dtw_distance` fills block by block.
 _DISTANCE_ROWS = 64
-
-
-def _as_series(series, arg_name: str) -> np.ndarray:
-    values = np.asarray(series, dtype=np.float64)
-    if values.ndim > 1:
-        raise ValueError(
-            f"dtw: series {arg_name!r} must be one-dimensional, got shape {values.shape}"
-        )
-    values = values.reshape(-1)
-    if values.size == 0:
-        raise ValueError(f"dtw: series {arg_name!r} is empty")
-    if not np.isfinite(values).all():
-        raise ValueError(f"dtw: series {arg_name!r} has a non-finite sample")
-    return values
 
 
 def _wavefront(x: np.ndarray, y_rev: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -170,12 +158,12 @@ def _paths(x: np.ndarray, ys: list[np.ndarray]) -> list:
 def dtw_distance(a, b) -> float:
     """Minimum cumulative squared-difference cost over all warping paths.
 
-    Symmetric, non-negative, and zero for identical inputs. Raises
-    ValueError on an empty or multi-dimensional series or a non-finite
-    sample. O(len(a) * len(b)) time and O(len(a) + len(b)) memory.
+    Symmetric, non-negative, and zero for identical inputs. Series are
+    checked by `core.as_series`. O(len(a) * len(b)) time and
+    O(len(a) + len(b)) memory.
     """
-    x = _as_series(a, "a")
-    y = _as_series(b, "b")
+    x = as_series(a, "dtw: series 'a'")
+    y = as_series(b, "dtw: series 'b'")
     # Every diagonal spans len(x) cells, so x is the shorter series; the
     # cost is bit-symmetric, since (-d)*(-d) == d*d and min is exact.
     if len(x) > len(y):
@@ -194,7 +182,7 @@ def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
     decreasing j, so the returned path is deterministic. The returned cost
     is bit-identical to dtw_distance on the same pair.
     """
-    return _paths(_as_series(a, "a"), [_as_series(b, "b")])[0]
+    return _paths(as_series(a, "dtw: series 'a'"), [as_series(b, "dtw: series 'b'")])[0]
 
 
 def dtw_paths(reference, members) -> list[tuple[float, list[tuple[int, int]]]]:
@@ -203,8 +191,8 @@ def dtw_paths(reference, members) -> list[tuple[float, list[tuple[int, int]]]]:
     Members of one length share one table; the result is in input order
     and identical to the per-pair calls.
     """
-    x = _as_series(reference, "reference")
-    ys = [_as_series(m, f"members[{k}]") for k, m in enumerate(members)]
+    x = as_series(reference, "dtw: series 'reference'")
+    ys = [as_series(m, f"dtw: series 'members[{k}]'") for k, m in enumerate(members)]
     return _paths(x, ys)
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledSeries
+from .core import LabeledSeries, as_series
 
 __all__ = [
     "FcnModel",
@@ -435,22 +435,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def _stack_batch(series, dtype) -> np.ndarray:
     """(B, T, 1) array of same-length series in dtype.
 
-    Raises ValueError, as `core.as_series` does, for zero-length series and
-    non-finite samples, and names the dtype for a finite sample that the
-    cast turns into inf (beyond the float32 range, say).
+    Each series is checked by `core.as_series`. Raises ValueError for a
+    batch that mixes lengths, and names the dtype for a finite sample that
+    the cast turns into inf (beyond the float32 range, say).
     """
     if not series:
         raise ValueError("empty batch")
+    series = [as_series(s) for s in series]
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise ValueError(f"batch mixes series lengths {sorted(lengths)}")
-    if 0 in lengths:
-        raise ValueError("time series must contain at least one sample")
     with np.errstate(over="ignore"):
         x = np.asarray(series, dtype=dtype)
     if not np.isfinite(x).all():
-        if not np.isfinite(np.asarray(series, float)).all():
-            raise ValueError("time series contains non-finite samples")
         raise ValueError(f"batch has samples beyond the {x.dtype} range")
     return x[:, :, None]
 
@@ -482,22 +479,22 @@ def _split_pairs(split) -> tuple[list, list[int]]:
 class _Buffers:
     """The buffer set of one call (see the module docstring).
 
-    `fit(B, T)` sizes it for batches of up to max(B, batch) series of length
-    T and keeps it while later batches fit; a new length frees it first. A
+    `fit(B, T)` sizes it for batches of up to B series of length T and
+    keeps it while later batches fit; a new length frees it first. A
     batch takes views of its arrays' leading elements. The transient holds
     one block's correlation rows (block 3's activations are written over
     them), then dy and the padded output gradient.
     """
 
-    def __init__(self, model: FcnModel, train: bool, batch: int = 1):
+    def __init__(self, model: FcnModel, train: bool):
         self.dtype, self.widths, self.train = model.dtype, (1, *model.filters), train
-        self.floor, self.batch, self.length = batch, 0, None
+        self.batch, self.length = 0, None
 
     def fit(self, batch: int, length: int) -> None:
         if length == self.length and batch <= self.batch:
             return
         self.inputs = self.xhat = self.transient = None  # freed first
-        self.batch, self.length = max(batch, self.floor), length
+        self.batch, self.length = batch, length
         segs = [self.batch * (length + k - 1) for k in KERNEL_SIZES]
         inputs = [s * c for s, c in zip(segs, self.widths)]
         outputs = [s * c for s, c in zip(segs, self.widths[1:])]
@@ -601,7 +598,8 @@ def forward(model: FcnModel, batch) -> np.ndarray:
     The batch holds arrays or LabeledSeries of one or of mixed lengths. It
     runs in the chunks of `_eval_chunks`, with the running-stat batch-norm
     folded into the convolutions, and the chunks of one length reuse one
-    buffer set; the model is not changed.
+    buffer set; the model is not changed. Each chunk checks its series with
+    `core.as_series` as it comes up.
     """
     series = [s.series if isinstance(s, LabeledSeries) else s for s in batch]
     if not series:
@@ -609,7 +607,7 @@ def forward(model: FcnModel, batch) -> np.ndarray:
     folded = _folded_blocks(model)
     probs = np.empty((len(series), model.class_count), dtype=model.dtype)
     bufs = _Buffers(model, train=False)
-    for idx in _eval_chunks([len(s) for s in series]):
+    for idx in _eval_chunks([np.size(s) for s in series]):
         x = _stack_batch([series[i] for i in idx], model.dtype)
         probs[idx] = np.exp(_log_softmax(_eval_logits(model, x, folded, bufs)))
     return probs
@@ -621,24 +619,26 @@ def loss_and_gradients(model: FcnModel, batch):
     The batch is a sequence of (series, label) pairs or LabeledSeries. Runs
     in training mode, so batch statistics are used and running statistics
     are updated. Gradients are returned as a dict keyed by the TRAINABLE
-    tensor names. Labels outside 0..class_count-1 raise ValueError.
+    tensor names. Labels outside 0..class_count-1, series that
+    `core.as_series` rejects and a batch of mixed lengths raise ValueError.
     Softmax plus cross-entropy is evaluated through log-sum-exp, so
     probabilities never underflow the log.
-    """
-    loss, grads, _ = _loss_and_gradients_impl(model, batch)
-    return loss, grads
-
-
-def _loss_and_gradients_impl(model: FcnModel, batch, bufs: _Buffers | None = None):
-    """loss_and_gradients plus the batch's correct-prediction count.
-
-    Runs in bufs, or in a new buffer set sized for this batch.
     """
     series, labels = _split_pairs(batch)
     labels = _checked_labels(labels, model.class_count)
     x = _stack_batch(series, model.dtype)
+    bufs = _Buffers(model, train=True)
+    loss, grads, _ = _loss_and_gradients_impl(model, x, labels, bufs)
+    return loss, grads
+
+
+def _loss_and_gradients_impl(model: FcnModel, x: np.ndarray, labels: np.ndarray,
+                             bufs: _Buffers):
+    """loss_and_gradients of a stacked batch, plus its correct-prediction count.
+
+    x is the (B, T, 1) batch and labels its checked index array; runs in bufs.
+    """
     batch_size, length, _ = x.shape
-    bufs = bufs or _Buffers(model, train=True)
 
     logits, (caches, gap) = _train_forward(model, x, bufs)
     logp = _log_softmax(logits)
@@ -753,35 +753,39 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     trained. The input model is not mutated; the returned model is the
     snapshot from the epoch with the strictly lowest train loss (earliest
     epoch on ties), and the history covers every epoch. Raises ValueError
-    when no epoch reaches a finite loss, since there is then no checkpoint
-    to return. Fully deterministic for a given seed. With
+    before any step if a series, a label or the split's lengths are
+    invalid, and after the last epoch if none reached a finite loss (there
+    is then no checkpoint). Fully deterministic for a given seed. With
     epochs = 0 the input model is returned as it is.
     """
-    items = list(train_split)
-    if not items:
+    series, labels = _split_pairs(train_split)
+    if not series:
         raise ValueError("train: empty train split")
+    labels = _checked_labels(labels, model.class_count)
+    x = _stack_batch(series, TRAIN_DTYPE)
     if config.epochs == 0:
         return model, TrainHistory()
 
     work = clone_model(model, TRAIN_DTYPE)
+    n = len(series)
     # One buffer set serves every step; a folded batch holds batch_size + 1.
-    sizes = map(len, _epoch_batches(np.arange(len(items)), config.batch_size))
-    bufs = _Buffers(work, train=True, batch=max(sizes))
+    bufs = _Buffers(work, train=True)
+    bufs.fit(max(map(len, _epoch_batches(np.arange(n), config.batch_size))), x.shape[1])
     rng = np.random.default_rng(config.seed)
     state = init_adam_state(work)
     history = TrainHistory()
     best_loss = np.inf
     best_model = None
     step = 0
-    n = len(items)
     for epoch in range(1, config.epochs + 1):
         tic = time.perf_counter()
         perm = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
         for idx in _epoch_batches(perm, config.batch_size):
-            batch = [items[i] for i in idx]
-            loss, grads, batch_correct = _loss_and_gradients_impl(work, batch, bufs)
+            loss, grads, batch_correct = _loss_and_gradients_impl(
+                work, x[idx], labels[idx], bufs
+            )
             step += 1
             adam_step(work, grads, state, step, config)
             loss_sum += loss * len(idx)

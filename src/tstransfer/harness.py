@@ -372,7 +372,7 @@ def load_matrix_results(out_dir) -> VariationMatrix:
     there (`source`, `target` and a failure's `error` strings, accuracies
     numbers in [0, 1], `variation_percent` a number or null) raises
     DataValidationError naming the file; so does a cell both completed and
-    failed.
+    failed. `names` holds every dataset of a completed or failed cell.
     """
     cells_dir = os.path.join(out_dir, "cells")
     if not os.path.isdir(cells_dir):
@@ -385,13 +385,12 @@ def load_matrix_results(out_dir) -> VariationMatrix:
         if fname.endswith(".json.failed"):
             record = _read_record(path, _FAILED_FIELDS)
             failures[(record["source"], record["target"])] = record["error"]
+        elif fname.endswith(".json"):
+            record = _read_record(path)
+            cells[(record["source"], record["target"])] = record
+        else:
             continue
-        if not fname.endswith(".json"):
-            continue
-        record = _read_record(path)
-        key = (record["source"], record["target"])
-        cells[key] = record
-        seen.update(key)
+        seen.update((record["source"], record["target"]))
     both = sorted(cells.keys() & failures.keys())
     if both:
         raise DataValidationError(f"{out_dir}: cell {both[0]} completed and failed")

@@ -251,6 +251,27 @@ class TestMatrixReportPipeline:
         agg_path = tmp_path / "report.aggregate.csv"
         assert agg_path.exists()
 
+    def test_report_names_a_dataset_whose_every_cell_failed(
+        self, tmp_path, data_dir, monkeypatch, capsys
+    ):
+        matrix_path = tmp_path / "matrix.csv"
+        assert run(["similarity", "--data", data_dir, "--datasets", "A,B,C",
+                    "--out", matrix_path, "--dba-iters", "2"]) == 0
+        record_calls(monkeypatch, harness, "run_pair",
+                     fail=lambda a: "C" in (a["source"].name, a["target"].name))
+        results = tmp_path / "results"
+        assert run(["matrix", "--data", data_dir, "--datasets", "A,B,C",
+                    "--out-dir", results, "--epochs", "1", "--batch", "8"]) == 1
+        capsys.readouterr()
+
+        report_path = tmp_path / "report.json"
+        assert run(["report", "--results", results, "--matrix", matrix_path,
+                    "--out", report_path]) == 0
+        assert "over 2 targets; no completed cell for C" in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        assert set(report["targets"]) == {"A", "B"}
+        assert len(report["failures"]) == 4
+
     def test_report_over_a_similarity_matrix_wider_than_the_run(
         self, tmp_path, data_dir
     ):

@@ -9,12 +9,23 @@ from tstransfer import (
     DataValidationError,
     Dataset,
     LabeledSeries,
+    TrainConfig,
     UcrParseError,
     as_series,
+    build_model,
+    dba_average,
+    dba_iteration,
+    dtw_distance,
+    dtw_path,
+    dtw_paths,
+    evaluate,
     find_ucr_pair,
+    forward,
     group_by_class,
     load_ucr_dataset,
+    loss_and_gradients,
     save_ucr_dataset,
+    train,
     z_normalize,
 )
 from tstransfer.core import _parse_ucr_file
@@ -53,6 +64,50 @@ class TestZNormalize:
     def test_rejects_empty(self):
         with pytest.raises(DataValidationError):
             z_normalize([])
+
+
+def _model():
+    return build_model(2, seed=5, filters=(4, 6, 3))
+
+
+# Every public entry point that takes series, called with one series s; each
+# returns a value that a scalar s and its one-sample array give alike.
+ENTRY_POINTS = {
+    "dtw_distance": lambda s: dtw_distance(s, [0.0, 1.0]),
+    "dtw_path": lambda s: dtw_path([0.0, 1.0], s),
+    "dtw_paths": lambda s: dtw_paths([0.0, 1.0], [[1.0, 2.0], s]),
+    "dba_iteration": lambda s: dba_iteration([0.0, 1.0], [[1.0, 2.0], s]),
+    "dba_average": lambda s: dba_average([[1.0, 2.0], s]),
+    "forward": lambda s: forward(_model(), [np.zeros(8), s]),
+    "evaluate": lambda s: evaluate(_model(), [(np.zeros(8), 0), (s, 1)]),
+    "loss_and_gradients": lambda s: loss_and_gradients(_model(), [(s, 0), (s, 1)])[0],
+    "train": lambda s: train(_model(), [(s, k % 2) for k in range(4)],
+                             TrainConfig(epochs=1, batch_size=4))[1].losses,
+    "LabeledSeries": lambda s: LabeledSeries(s, 0).series,
+}
+
+
+class TestOneSeriesRule:
+    """`as_series` decides for every entry point what a valid series is."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad, match", [
+        (np.zeros((8, 2)), r"one-dimensional, got shape \(8, 2\)"),
+        (np.zeros(0), "at least one sample"),
+        (np.array([0.5, np.nan, -1.0]), "non-finite"),
+        (np.array([0.5, np.inf, -1.0]), "non-finite"),
+    ], ids=["2-D", "empty", "nan", "inf"])
+    def test_rejects(self, name, bad, match):
+        with pytest.raises(DataValidationError, match=match):
+            ENTRY_POINTS[name](bad)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_scalar_is_a_one_sample_series(self, name):
+        scalar, array = ENTRY_POINTS[name](3.0), ENTRY_POINTS[name](np.array([3.0]))
+        if isinstance(array, np.ndarray):
+            assert np.array_equal(scalar, array)
+        else:
+            assert scalar == array
 
 
 class TestSeriesAndDataset:

@@ -14,6 +14,7 @@ from helpers import (
     traced_peak,
 )
 from tstransfer import (
+    DataValidationError,
     TrainConfig,
     adam_step,
     build_model,
@@ -39,6 +40,7 @@ from tstransfer.fcn import (
     _fold_batchnorm,
     _folded_blocks,
     _eval_logits,
+    _Buffers,
     _loss_and_gradients_impl,
     _stack_batch,
     _train_forward,
@@ -776,8 +778,11 @@ class TestTrain:
         for _ in range(config.epochs):
             loss_sum = correct = 0
             for idx in _epoch_batches(order.permutation(n), batch_size):
-                batch = [split[i] for i in idx]
-                loss, grads, hits = _loss_and_gradients_impl(work, batch)
+                x = _stack_batch([split[i][0] for i in idx], dtype)
+                labels = np.array([split[i][1] for i in idx])
+                loss, grads, hits = _loss_and_gradients_impl(
+                    work, x, labels, _Buffers(work, train=True)
+                )
                 step += 1
                 adam_step(work, grads, state, step, config)
                 loss_sum += loss * len(idx)
@@ -822,6 +827,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(m, [], TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_lengths_raise_before_any_step(self, monkeypatch, seed):
+        # Two series of length 8 and four of 12 in batches of 2: every batch
+        # holds one length at seeds 0 and 2, and the first one does at seed
+        # 3, so a check per batch would train or step first.
+        rng = np.random.default_rng(68)
+        split = [(rng.standard_normal(8 if k < 2 else 12), k % 2) for k in range(6)]
+        steps = record_calls(monkeypatch, fcn, "adam_step")
+        m = build_model(2, seed=69, filters=TINY)
+        with pytest.raises(ValueError, match=r"mixes series lengths \[8, 12\]"):
+            train(m, split, TrainConfig(epochs=1, batch_size=2, seed=seed))
+        assert steps == []
+
 
 class TestEvaluate:
     def test_uniform_model_ties_break_to_class_zero(self):
@@ -863,12 +881,14 @@ class TestEvaluate:
         m = build_model(2, seed=38, filters=TINY)
         before = clone_model(m)
         split = [(s, 1) for s in series]
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(DataValidationError, match=match):
             forward(m, series)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(DataValidationError, match=match):
             evaluate(m, split)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(DataValidationError, match=match):
             loss_and_gradients(m, split)
+        with pytest.raises(DataValidationError, match=match):
+            train(m, split, TrainConfig(epochs=1))
         assert all(np.array_equal(m[name], before[name]) for name in m)
 
 

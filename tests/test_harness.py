@@ -268,6 +268,23 @@ class TestRunMatrix:
         loaded = load_matrix_results(out)
         assert loaded.cells == {} and loaded.failures == rerun.failures
 
+    def test_a_dataset_whose_every_cell_failed_keeps_its_row_and_column(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "res"
+        record_calls(monkeypatch, harness, "run_pair",
+                     fail=lambda a: "C" in (a["source"].name, a["target"].name))
+        run_matrix(tiny_datasets(3), FAST, seeds=[0], out_dir=out)
+        loaded = load_matrix_results(out)
+        assert loaded.names == ("A", "B", "C")
+        assert set(loaded.cells) == {("A", "B"), ("B", "A")}
+        assert len(loaded.failures) == 4
+        write_variation_csv(loaded, out / "variation.csv")
+        rows = list(csv.reader((out / "variation.csv").read_text().splitlines()))
+        assert rows[0] == ["", "A", "B", "C"]
+        assert [row[3] for row in rows[1:]] == ["", "", ""]
+        assert rows[3] == ["C", "", "", ""]
+
     def test_load_refuses_a_cell_that_completed_and_failed(self, tmp_path):
         out = tmp_path / "both"
         run_matrix(tiny_datasets(2), FAST, out_dir=out)

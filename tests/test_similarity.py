@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -178,6 +179,50 @@ class TestSimilarityMatrix:
             SimilarityMatrix(("a", "b"), np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(DataValidationError, match="diagonal"):
             SimilarityMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 0.0]]))
+
+
+def _digest(values) -> str:
+    data = np.ascontiguousarray(values, "<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _random_walk_archive():
+    """Four datasets of lengths 9, 13, 16 and 11, three members per class.
+
+    Random walks, unlike sines, need no libm call, so the digests below
+    rest on IEEE add, multiply, divide and min alone and hold on any CPU
+    and thread count.
+    """
+    rng = np.random.default_rng(20)
+    datasets = []
+    shapes = (("A", 9, 2), ("B", 13, 3), ("C", 16, 2), ("D", 11, 2))
+    for name, length, classes in shapes:
+        train = tuple(
+            LabeledSeries(np.cumsum(rng.standard_normal(length)), k % classes)
+            for k in range(3 * classes)
+        )
+        datasets.append(Dataset(name=name, train=train, test=(), class_count=classes))
+    return datasets
+
+
+class TestPinnedBits:
+    """SHA-256 prefixes of DTW and DBA outputs, pinned across commits."""
+
+    def test_similarity_matrix(self):
+        values = similarity_matrix(_random_walk_archive()).values
+        assert _digest(values) == "26647ebefbd45483"
+
+    def test_prototypes(self):
+        expected = {
+            "A": ["5e8a7291e338b725", "b94c8ec070858fca"],
+            "B": ["499b39979f8ec949", "99fdfe745a95d082", "508c638582e0dfbc"],
+            "C": ["50d31b54a4e562b6", "20a9ad2d9165e065"],
+            "D": ["4e2aed92b7121dc4", "2ff8fd782d8af270"],
+        }
+        for ds in _random_walk_archive():
+            prototypes = reduce_dataset(ds).prototypes
+            digests = [_digest(prototypes[c]) for c in sorted(prototypes)]
+            assert digests == expected[ds.name]
 
 
 class TestRankSources:
