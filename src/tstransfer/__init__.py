@@ -37,7 +37,6 @@ from .fcn import (
 )
 from .harness import (
     PairResult,
-    UndefinedVariationError,
     VariationMatrix,
     accuracy_variation,
     aggregate,

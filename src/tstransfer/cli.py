@@ -54,10 +54,9 @@ def _run_phase(args, dataset: Dataset, run, done: str) -> int:
     time taken, the best epoch and the test accuracy; saves the model to
     --out if set.
     """
-    config = _train_config(args)
     tic = time.perf_counter()
-    model, history, _ = run(dataset, config, args.seed)
-    print(f"{done} {config.epochs} epochs in {time.perf_counter() - tic:.1f}s")
+    model, history, _ = run(dataset, args.config, args.seed)
+    print(f"{done} {args.config.epochs} epochs in {time.perf_counter() - tic:.1f}s")
     if history.best_epoch:
         print(
             f"best epoch {history.best_epoch}: "
@@ -106,9 +105,8 @@ def _cmd_rank(args) -> int:
 def _cmd_matrix(args) -> int:
     names = [n for n in args.datasets.split(",") if n]
     datasets = [_load_dataset(args.data, n) for n in names]
-    config = _train_config(args)
     seeds = [args.seed + k for k in range(args.seeds)]
-    matrix = run_matrix(datasets, config, seeds=seeds, out_dir=args.out_dir)
+    matrix = run_matrix(datasets, args.config, seeds=seeds, out_dir=args.out_dir)
     csv_path = os.path.join(args.out_dir, "variation_matrix.csv")
     write_variation_csv(matrix, csv_path)
     done = len(matrix.cells)
@@ -201,7 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Every output's directory must exist before a command computes.
+        # Training settings and every output's directory are checked before
+        # a command loads or computes anything.
+        if "lr" in args:
+            args.config = _train_config(args)
         for out in (getattr(args, "out", None), getattr(args, "aggregate_out", None)):
             if out and not os.path.isdir(os.path.dirname(out) or "."):
                 raise FileNotFoundError(f"no directory for output {out!r}")

@@ -133,10 +133,6 @@ class Dataset:
                 f"dataset {self.name!r}: mixed series lengths {sorted(lengths)}"
             )
 
-    @property
-    def series_length(self) -> int:
-        return len(self.train[0].series)
-
 
 def group_by_class(split) -> dict[int, list[np.ndarray]]:
     """Group the series of a split by class label, preserving input order."""

@@ -80,6 +80,8 @@ KERNEL_SIZES = (8, 5, 3)
 DEFAULT_FILTERS = (128, 256, 128)
 BN_EPSILON = 1e-3
 BN_MOMENTUM = 0.99  # new_running = momentum * old + (1 - momentum) * batch
+ADAM_BETA1 = 0.9  # Adam's moment decay rates and epsilon: the fixed recipe
+ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 TRAIN_DTYPE = np.dtype(np.float32)  # the precision `train` computes in
 # Goes up whenever a change moves the bits a matrix cell records; run
@@ -143,16 +145,16 @@ TRAINABLE = tuple(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; defaults are the standard recipe.
+    """The training schedule and seed; defaults are the standard recipe.
 
-    epochs = 0 is allowed as an explicit no-op boundary.
+    Adam's other settings are the fixed ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPSILON. epochs = 0 is allowed as an explicit no-op boundary; the
+    learning rate must be finite and positive.
     """
 
     epochs: int = 2000
     batch_size: int = 16
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
     seed: int = 0
 
     def __post_init__(self):
@@ -160,10 +162,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("moment decay rates must lie in [0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
 
 
 @dataclass
@@ -432,23 +434,24 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _stack_batch(series, dtype) -> np.ndarray:
+def _stack_batch(series, dtype, name="batch") -> np.ndarray:
     """(B, T, 1) array of same-length series in dtype.
 
     Each series is checked by `core.as_series`. Raises ValueError for a
     batch that mixes lengths, and names the dtype for a finite sample that
-    the cast turns into inf (beyond the float32 range, say).
+    the cast turns into inf (beyond the float32 range, say). `name` only
+    labels the messages.
     """
     if not series:
         raise ValueError("empty batch")
     series = [as_series(s) for s in series]
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
-        raise ValueError(f"batch mixes series lengths {sorted(lengths)}")
+        raise ValueError(f"{name} mixes series lengths {sorted(lengths)}")
     with np.errstate(over="ignore"):
         x = np.asarray(series, dtype=dtype)
     if not np.isfinite(x).all():
-        raise ValueError(f"batch has samples beyond the {x.dtype} range")
+        raise ValueError(f"{name} has samples beyond the {x.dtype} range")
     return x[:, :, None]
 
 
@@ -712,11 +715,12 @@ def adam_step(
     """One Adam update with bias correction, applied in place.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
-    theta <- theta - lr * mhat / (sqrt(vhat) + eps).
+    theta <- theta - lr * mhat / (sqrt(vhat) + eps), with lr from config and
+    b1, b2, eps the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON.
     """
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name in TRAINABLE:
@@ -762,7 +766,7 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     if not series:
         raise ValueError("train: empty train split")
     labels = _checked_labels(labels, model.class_count)
-    x = _stack_batch(series, TRAIN_DTYPE)
+    x = _stack_batch(series, TRAIN_DTYPE, "train split")
     if config.epochs == 0:
         return model, TrainHistory()
 

@@ -29,7 +29,6 @@ from .textfmt import dump_csv_17g, dump_json_17g
 from .transfer import fine_tune
 
 __all__ = [
-    "UndefinedVariationError",
     "PairResult",
     "VariationMatrix",
     "accuracy_variation",
@@ -48,19 +47,17 @@ __all__ = [
 _RUN_KEYS = ("seeds", "config", "train_dtype", "numerics_version")
 
 
-class UndefinedVariationError(ValueError):
-    """Accuracy variation is undefined for a zero baseline."""
+def accuracy_variation(baseline: float, transferred: float) -> float | None:
+    """Percent change of the transferred accuracy over the baseline.
 
-
-def accuracy_variation(baseline: float, transferred: float) -> float:
-    """Percent change of the transferred accuracy over the baseline."""
+    None for a zero baseline, where the change is undefined; cell files and
+    the variation CSV record it as null and an empty cell.
+    """
     if not (0.0 <= baseline <= 1.0 and 0.0 <= transferred <= 1.0):
         raise ValueError(
             f"accuracies must lie in [0, 1], got {baseline} and {transferred}"
         )
-    if baseline == 0.0:
-        raise UndefinedVariationError("variation undefined for baseline accuracy 0")
-    return 100.0 * (transferred - baseline) / baseline
+    return 100.0 * (transferred - baseline) / baseline if baseline else None
 
 
 def derive_seed(*parts) -> int:
@@ -136,16 +133,13 @@ def run_pair(
     pretrained, _, source_seeds = source_run
     tuned, tuned_hist, tuned_seeds = _fine_tune_run(pretrained, target, config, seed)
     transfer_acc = evaluate(tuned, target.test)
-    variation = (
-        accuracy_variation(baseline_acc, transfer_acc) if baseline_acc > 0 else None
-    )
     return PairResult(
         source=source.name,
         target=target.name,
         seed=seed,
         baseline_accuracy=baseline_acc,
         transfer_accuracy=transfer_acc,
-        variation_percent=variation,
+        variation_percent=accuracy_variation(baseline_acc, transfer_acc),
         baseline_best_epoch=baseline_hist.best_epoch,
         transfer_best_epoch=tuned_hist.best_epoch,
         derived_seeds={
@@ -187,14 +181,13 @@ class VariationMatrix:
 def _cell_record(results: list[PairResult], provenance: dict) -> dict:
     baseline = sum(r.baseline_accuracy for r in results) / len(results)
     transfer = sum(r.transfer_accuracy for r in results) / len(results)
-    variation = accuracy_variation(baseline, transfer) if baseline > 0 else None
     return {
         "source": results[0].source,
         "target": results[0].target,
         "seeds": [r.seed for r in results],
         "baseline_accuracy": baseline,
         "transfer_accuracy": transfer,
-        "variation_percent": variation,
+        "variation_percent": accuracy_variation(baseline, transfer),
         "results": [asdict(r) for r in results],
         **provenance,  # repeats "seeds", which keeps its place above
     }

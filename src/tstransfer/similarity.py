@@ -195,7 +195,10 @@ def read_matrix_csv(path) -> SimilarityMatrix:
             values[i] = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise DataValidationError(f"{path}:{line}: {exc}") from None
-    return SimilarityMatrix(names=names, values=values)
+    try:
+        return SimilarityMatrix(names=names, values=values)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
 
 
 def write_ranking_json(ranking: SourceRanking, path) -> None:

@@ -16,9 +16,7 @@ import numbers
 import os
 import tempfile
 
-__all__ = [
-    "fmt17", "dumps_json_17g", "dump_json_17g", "dump_csv_17g", "atomic_write_bytes",
-]
+__all__ = ["fmt17", "dump_json_17g", "dump_csv_17g", "atomic_write_bytes"]
 
 
 def fmt17(value: float) -> str:
@@ -65,16 +63,12 @@ def _encode(obj, pieces: list[str], indent: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps_json_17g(obj) -> str:
-    """Serialize to pretty JSON with 17-significant-digit floats."""
+def dump_json_17g(obj, path) -> None:
+    """Write obj as pretty JSON with 17-significant-digit floats."""
     pieces: list[str] = []
     _encode(obj, pieces, 0)
     pieces.append("\n")
-    return "".join(pieces)
-
-
-def dump_json_17g(obj, path) -> None:
-    atomic_write_bytes(path, dumps_json_17g(obj).encode("utf-8"))
+    atomic_write_bytes(path, "".join(pieces).encode("utf-8"))
 
 
 def dump_csv_17g(rows, path) -> None:

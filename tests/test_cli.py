@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -122,6 +123,38 @@ class TestTrainAndTransfer:
                      ["transfer", "--source", "m.fcn", "--target", "T", "--data", "D"],
                      ["matrix", "--data", "D", "--datasets", "A,B", "--out-dir", "O"]):
             assert _train_config(build_parser().parse_args(argv)) == TrainConfig()
+
+    def test_train_config_is_the_schedule_and_seed(self):
+        assert [f.name for f in fields(TrainConfig)] == [
+            "epochs", "batch_size", "learning_rate", "seed"]
+        argv = ["train", "NAME", "--data", "D", "--epochs", "7", "--batch", "3",
+                "--lr", "0.25"]
+        assert _train_config(build_parser().parse_args(argv)) == TrainConfig(
+            epochs=7, batch_size=3, learning_rate=0.25)
+
+    @pytest.mark.parametrize("command, lr", [
+        ("train", "nan"), ("transfer", "nan"), ("matrix", "inf"), ("matrix", "-1"),
+    ])
+    def test_a_bad_learning_rate_fails_before_loading_data(
+        self, tmp_path, data_dir, capsys, monkeypatch, command, lr
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded data before checking the learning rate")
+
+        monkeypatch.setattr(cli, "_load_dataset", refuse)
+        monkeypatch.setattr(cli, "load_model", refuse)
+        argv = {
+            "train": ["train", "A", "--data", data_dir],
+            "transfer": ["transfer", "--source", tmp_path / "a.fcn", "--target", "B",
+                         "--data", data_dir],
+            "matrix": ["matrix", "--data", data_dir, "--datasets", "A,B",
+                       "--out-dir", tmp_path / "out"],
+        }[command]
+        assert run([*argv, "--epochs", "1", "--lr", lr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: learning_rate must be finite and positive")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_model_file_is_reported(self, tmp_path, data_dir, capsys):
         bad = tmp_path / "bad.fcn"

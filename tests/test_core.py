@@ -148,13 +148,12 @@ class TestSeriesAndDataset:
             )
 
     def test_empty_test_split_is_fine(self):
-        ds = Dataset(
+        Dataset(
             name="d",
             train=(LabeledSeries([1.0, 2.0], 0), LabeledSeries([0.0, 1.0], 1)),
             test=(),
             class_count=2,
         )
-        assert ds.series_length == 2
 
 
 class TestGroupByClass:
@@ -196,7 +195,6 @@ class TestUcrLoading:
         assert ds.class_count == 2
         assert [item.label for item in ds.train] == [0, 1]
         assert ds.test[0].label == 1
-        assert ds.series_length == 2
 
     def test_tab_delimiter_gives_identical_result(self, tmp_path):
         self._write(tmp_path / "C_TRAIN", ["1,0.5,0.3", "2,0.1,0.2"])

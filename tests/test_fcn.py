@@ -65,8 +65,7 @@ class TestTrainConfig:
         assert cfg.epochs == 2000
         assert cfg.batch_size == 16
         assert cfg.learning_rate == 0.001
-        assert cfg.beta1 == 0.9
-        assert cfg.beta2 == 0.999
+        assert (fcn.ADAM_BETA1, fcn.ADAM_BETA2, fcn.ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,8 +74,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.001])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            TrainConfig(learning_rate=lr)
 
 
 class TestBuildModel:
@@ -836,7 +838,8 @@ class TestTrain:
         split = [(rng.standard_normal(8 if k < 2 else 12), k % 2) for k in range(6)]
         steps = record_calls(monkeypatch, fcn, "adam_step")
         m = build_model(2, seed=69, filters=TINY)
-        with pytest.raises(ValueError, match=r"mixes series lengths \[8, 12\]"):
+        with pytest.raises(ValueError,
+                           match=r"^train split mixes series lengths \[8, 12\]$"):
             train(m, split, TrainConfig(epochs=1, batch_size=2, seed=seed))
         assert steps == []
 

@@ -16,7 +16,6 @@ from tstransfer import (
     SimilarityMatrix,
     SourceRanking,
     TrainConfig,
-    UndefinedVariationError,
     VariationMatrix,
     accuracy_variation,
     aggregate,
@@ -71,9 +70,8 @@ class TestAccuracyVariation:
         for x in (0.25, 0.5, 1.0):
             assert accuracy_variation(x, x) == 0.0
 
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(UndefinedVariationError):
-            accuracy_variation(0.0, 0.5)
+    def test_zero_baseline_gives_none(self):
+        assert accuracy_variation(0.0, 0.5) is None
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -516,6 +514,44 @@ class TestRunMatrix:
         rewrite(lambda r: r.pop("numerics_version"))
         with pytest.raises(DataValidationError, match="disagree on numerics_version"):
             load_matrix_results(out)
+
+    def test_a_cell_recording_adam_decay_rates_is_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        # Cells written while TrainConfig carried beta1 and beta2 record them.
+        out = tmp_path / "res"
+        datasets = tiny_datasets(2)
+        matrix = run_matrix(datasets, FAST, out_dir=out)
+        path = out / "cells" / "A__B.json"
+        record = json.loads(path.read_text())
+        assert record["config"] == {"epochs": 2, "batch_size": 8, "learning_rate": 0.001}
+        record["config"].update(beta1=0.9, beta2=0.999)
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataValidationError, match="disagree on config"):
+            load_matrix_results(out)
+        computed = record_calls(monkeypatch, harness, "run_pair")
+        assert run_matrix(datasets, FAST, out_dir=out).cells == matrix.cells
+        assert cells_of(computed) == [("A", "B")]
+        assert load_matrix_results(out).cells == matrix.cells
+
+    def test_a_zero_baseline_records_a_null_variation(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_evaluate(model, split):
+            # run_matrix evaluates both baselines before any fine-tune
+            calls.append(model)
+            return 0.0 if len(calls) <= 2 else 0.5
+
+        monkeypatch.setattr(harness, "evaluate", fake_evaluate)
+        out = tmp_path / "res"
+        matrix = run_matrix(tiny_datasets(2), FAST, out_dir=out)
+        assert len(calls) == 4 and not matrix.failures
+        for name in ("A__B.json", "B__A.json"):
+            record = json.loads((out / "cells" / name).read_text())
+            assert (record["baseline_accuracy"], record["transfer_accuracy"]) == (0, 0.5)
+            assert record["variation_percent"] is None
+            assert [r["variation_percent"] for r in record["results"]] == [None]
+        assert load_matrix_results(out).cells == matrix.cells
 
     def test_rerun_with_another_config_seed_reuses_every_cell(
         self, tmp_path, monkeypatch

@@ -290,6 +290,18 @@ class TestExports:
         with pytest.raises(DataValidationError, match=message):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(",a,b\na,0,1\nb,2,0\n", "matrix must be exactly symmetric"),
+         (",a,a\na,0,1\na,1,0\n", "duplicate dataset names in matrix")],
+        ids=["asymmetric", "duplicate-name"],
+    )
+    def test_matrix_csv_bad_matrix_names_file(self, tmp_path, text, message):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataValidationError, match=rf"matrix\.csv: {message}$"):
+            read_matrix_csv(path)
+
     def test_ranking_json_schema(self, tmp_path):
         m = SimilarityMatrix(
             ("a", "b", "c"), np.array([[0, 1.5, 0.5], [1.5, 0, 2], [0.5, 2, 0]])
