@@ -62,9 +62,6 @@ from .similarity import (
 )
 from .transfer import (
     ModelFileError,
-    ModelShapeError,
-    TruncatedModelFileError,
-    UnknownModelVersionError,
     fine_tune,
     load_model,
     save_model,

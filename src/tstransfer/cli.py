@@ -26,12 +26,17 @@ from .similarity import (
     write_matrix_csv,
     write_ranking_json,
 )
-from .transfer import ModelFileError, load_model, save_model
+from .transfer import load_model, save_model
 
 
 def _load_dataset(data_dir: str, name: str) -> Dataset:
     train_path, test_path = find_ucr_pair(data_dir, name)
     return load_ucr_dataset(train_path, test_path, name)
+
+
+def _load_datasets(args) -> list[Dataset]:
+    """Every dataset named in the comma-separated --datasets, in order."""
+    return [_load_dataset(args.data, n) for n in args.datasets.split(",") if n]
 
 
 def _add_train_opts(parser):
@@ -84,11 +89,10 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
-    names = [n for n in args.datasets.split(",") if n]
-    datasets = [_load_dataset(args.data, n) for n in names]
+    datasets = _load_datasets(args)
     matrix = similarity_matrix(datasets, DbaConfig(iterations=args.dba_iters))
     write_matrix_csv(matrix, args.out)
-    print(f"wrote {len(names)}x{len(names)} similarity matrix to {args.out}")
+    print(f"wrote {len(datasets)}x{len(datasets)} similarity matrix to {args.out}")
     return 0
 
 
@@ -103,8 +107,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    names = [n for n in args.datasets.split(",") if n]
-    datasets = [_load_dataset(args.data, n) for n in names]
+    datasets = _load_datasets(args)
     seeds = [args.seed + k for k in range(args.seeds)]
     matrix = run_matrix(datasets, args.config, seeds=seeds, out_dir=args.out_dir)
     csv_path = os.path.join(args.out_dir, "variation_matrix.csv")
@@ -207,7 +210,7 @@ def main(argv=None) -> int:
             if out and not os.path.isdir(os.path.dirname(out) or "."):
                 raise FileNotFoundError(f"no directory for output {out!r}")
         return args.func(args)
-    except (ValueError, KeyError, OSError, ModelFileError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

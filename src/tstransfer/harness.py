@@ -239,7 +239,7 @@ def run_matrix(
     target's training, the source's, the target's baseline) before any
     fine-tune. A failing cell is recorded and marked on disk (its stale
     result file removed) without stopping the run. Cells run one after
-    another, since numpy's BLAS already uses every core.
+    another, in order.
     """
     datasets = list(datasets)
     if len(datasets) < 2:

@@ -104,27 +104,14 @@ def reduce_dataset(dataset: Dataset, config: DbaConfig = DbaConfig()) -> ClassPr
     Only train data participates; the test split is never touched.
     """
     groups = group_by_class(dataset.train)
-    prototypes: dict[int, np.ndarray] = {}
-    for c in range(dataset.class_count):
-        members = groups.get(c, [])
-        if not members:
-            raise DataValidationError(
-                f"dataset {dataset.name!r}: class {c} has no train members"
-            )
-        prototypes[c] = dba_average(members, config)
+    prototypes = {c: dba_average(groups[c], config) for c in range(dataset.class_count)}
     return ClassPrototypes(dataset_name=dataset.name, prototypes=prototypes)
 
 
 def dataset_distance(a: ClassPrototypes, b: ClassPrototypes) -> float:
     """Minimum DTW distance over all pairs of class prototypes."""
-    best = None
-    for ca in sorted(a.prototypes):
-        pa = a.prototypes[ca]
-        for cb in sorted(b.prototypes):
-            d = dtw_distance(pa, b.prototypes[cb])
-            if best is None or d < best:
-                best = d
-    return best
+    return min(dtw_distance(a.prototypes[ca], b.prototypes[cb])
+               for ca in sorted(a.prototypes) for cb in sorted(b.prototypes))
 
 
 def similarity_matrix(

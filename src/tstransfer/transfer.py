@@ -33,9 +33,6 @@ __all__ = [
     "MODEL_MAGIC",
     "MODEL_FORMAT_VERSION",
     "ModelFileError",
-    "UnknownModelVersionError",
-    "ModelShapeError",
-    "TruncatedModelFileError",
     "save_model",
     "load_model",
     "swap_head",
@@ -47,20 +44,8 @@ MODEL_FORMAT_VERSION = 1
 _PAYLOAD_DTYPE = "<f4"
 
 
-class ModelFileError(Exception):
-    """A model file is malformed or cannot be written."""
-
-
-class UnknownModelVersionError(ModelFileError):
-    """The file declares a format version this reader does not know."""
-
-
-class ModelShapeError(ModelFileError):
-    """The header is not the one written for the architecture it declares."""
-
-
-class TruncatedModelFileError(ModelFileError):
-    """The file ends before the declared payload does."""
+class ModelFileError(ValueError):
+    """A model file is malformed; the message names its path."""
 
 
 def _header(filters, class_count: int) -> dict:
@@ -83,7 +68,7 @@ def save_model(model: FcnModel, path) -> None:
     """Serialize all 20 tensors (parameters plus running statistics).
 
     The write is atomic: a temp file in the same directory is renamed over
-    the destination. I/O errors carry the path.
+    the destination.
     """
     header = _header(model.filters, model.class_count)
     header_bytes = json.dumps(header).encode("utf-8")
@@ -94,30 +79,25 @@ def save_model(model: FcnModel, path) -> None:
         + b"".join(model[entry["name"]].astype(_PAYLOAD_DTYPE).tobytes()
                    for entry in header["tensors"])
     )
-    try:
-        atomic_write_bytes(path, blob)
-    except OSError as exc:
-        raise ModelFileError(f"cannot write model file {path!r}: {exc}") from exc
+    atomic_write_bytes(path, blob)
 
 
 def load_model(path) -> FcnModel:
     """Read a model file back as a float32 model.
 
     The header must equal `_header` of the filters and class count it
-    declares (ModelShapeError otherwise, for an unknown key or a moved
-    offset too), and the payload must be exactly the size its directory
-    gives. A malformed file raises a ModelFileError subclass.
+    declares, which fixes the format version, the payload dtype and every
+    offset, and the payload must be exactly the size its directory gives.
+    A malformed file raises ModelFileError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(MODEL_MAGIC) + 8:
-        raise TruncatedModelFileError(f"{path}: file shorter than the fixed prefix")
     if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFileError(f"{path}: bad magic, not a model file")
     header_len = int.from_bytes(blob[len(MODEL_MAGIC) : len(MODEL_MAGIC) + 8], "little")
     header_start = len(MODEL_MAGIC) + 8
     if len(blob) < header_start + header_len:
-        raise TruncatedModelFileError(f"{path}: header truncated")
+        raise ModelFileError(f"{path}: header truncated")
     try:
         header = json.loads(blob[header_start : header_start + header_len])
     except ValueError as exc:
@@ -125,18 +105,10 @@ def load_model(path) -> FcnModel:
 
     if not isinstance(header, dict):
         raise ModelFileError(f"{path}: header is not a JSON object")
-    version = header.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise UnknownModelVersionError(f"{path}: unknown format version {version!r}")
-    dtype = header.get("dtype")
-    if dtype != _PAYLOAD_DTYPE:
-        raise ModelFileError(
-            f"{path}: payload dtype {dtype!r} is not {_PAYLOAD_DTYPE!r}"
-        )
     filters, class_count = header.get("filters"), header.get("class_count")
     if (not isinstance(filters, list) or len(filters) != 3
             or any(type(f) is not int or f < 1 for f in filters)):
-        raise ModelShapeError(f"{path}: bad filter configuration {filters!r}")
+        raise ModelFileError(f"{path}: bad filter configuration {filters!r}")
     if type(class_count) is not int or class_count < 2:
         raise ModelFileError(f"{path}: bad class_count {class_count!r}")
     expected = _header(filters, class_count)
@@ -144,13 +116,13 @@ def load_model(path) -> FcnModel:
         absent = object()
         keys = sorted(k for k in header.keys() | expected.keys()
                       if header.get(k, absent) != expected.get(k, absent))
-        raise ModelShapeError(f"{path}: header differs from the one written for "
-                              f"filters {filters}, {class_count} classes in {keys}")
+        raise ModelFileError(f"{path}: header differs from the one written for "
+                             f"filters {filters}, {class_count} classes in {keys}")
     payload = blob[header_start + header_len :]
     sizes = [math.prod(entry["shape"]) for entry in expected["tensors"]]
     size = sum(sizes) * np.dtype(_PAYLOAD_DTYPE).itemsize
     if len(payload) < size:
-        raise TruncatedModelFileError(
+        raise ModelFileError(
             f"{path}: payload truncated at {len(payload)} of {size} bytes"
         )
     if len(payload) > size:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import tstransfer
@@ -33,3 +34,17 @@ def test_only_textfmt_opens_files_for_writing():
 def test_the_check_sees_a_write_mode():
     source = 'open(p)\nopen(p, "rb")\nopen(p, "w")\nopen(p, mode="a")\nopen(p, m)\n'
     assert list(_opens_for_writing(ast.parse(source))) == [3, 4, 5]
+
+
+def test_every_exception_of_the_package_is_a_value_error():
+    # cli.main reports ValueError, KeyError and OSError as "error: ..."; an
+    # exception class outside ValueError would escape it as a traceback.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(importlib.import_module(f"tstransfer.{path.stem}"), node.name)
+            if issubclass(cls, BaseException) and not issubclass(cls, ValueError):
+                found.append(f"{path.name}:{node.name}")
+    assert found == []
