@@ -7,6 +7,7 @@ small frozen dataclasses so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -58,6 +59,31 @@ def as_series(values, name: str = "time series") -> np.ndarray:
         raise DataValidationError(f"{name} contains non-finite samples")
     arr.flags.writeable = False
     return arr
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """ValueError naming `name` unless value is an integer >= minimum.
+
+    A bool is not a count, and neither is a float with an integral value.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def parse_decimals(tokens: list[str]) -> list[float]:
+    """The floats of plain ASCII decimal tokens, ValueError for any other.
+
+    Python's `float` also reads digit-group underscores ("1_000") and
+    non-ASCII digits ("\u0661"); no file this package reads spells a number
+    so, and a token with either is rejected.
+    """
+    text = "".join(tokens)
+    if "_" in text or not text.isascii():
+        bad = next(t for t in tokens if "_" in t or not t.isascii())
+        raise ValueError(f"values must be ASCII decimals without '_', got {bad!r}")
+    return [float(t) for t in tokens]
 
 
 def z_normalize(series) -> np.ndarray:
@@ -151,10 +177,9 @@ def _parse_ucr_file(path) -> tuple[list[float], list[np.ndarray]]:
 
     Each non-blank line is `label<delim>v1<delim>...<delim>vT`; the delimiter
     (tab or comma) is detected from the first non-blank line and all records
-    must share one length. Numbers are plain ASCII decimals: a file that is
-    not UTF-8, or a line with a non-ASCII character or a digit-group
-    underscore that Python's `float` would accept ("1_000", Arabic-Indic
-    digits), raises UcrParseError.
+    must share one length. Numbers are plain ASCII decimals
+    (`parse_decimals`); a file that is not UTF-8, or a line with a number
+    spelt otherwise, raises UcrParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -172,19 +197,13 @@ def _parse_ucr_file(path) -> tuple[list[float], list[np.ndarray]]:
             continue
         if delim is None:
             delim = _detect_delimiter(line)
-        if "_" in line or not line.isascii():
-            raise UcrParseError(
-                f"{path}:{lineno}: values must be ASCII decimals without '_', "
-                f"got {raw!r}"
-            )
         tokens = line.split(delim)
         if len(tokens) < 2 or any(t == "" for t in tokens):
             raise UcrParseError(
                 f"{path}:{lineno}: expected 'label{delim!r}v1...', got {raw!r}"
             )
         try:
-            label = float(tokens[0])
-            values = [float(t) for t in tokens[1:]]
+            label, *values = parse_decimals(tokens)
         except ValueError as exc:
             raise UcrParseError(f"{path}:{lineno}: {exc}") from None
         if expected_len is None:

@@ -4,6 +4,12 @@ The prototype is refined iteratively: every member is aligned to the current
 prototype with an optimal warping path, each prototype coordinate collects
 the member samples aligned to it, and the coordinate is replaced by their
 arithmetic mean. The prototype keeps the medoid's length throughout.
+
+`dba_averages` refines the prototypes of several groups, such as the
+classes of a dataset, together: each step aligns every member of every
+group that has not reached its fixed point in one batched call of
+`dtw._paths`, then averages each group on its own, so every prototype has
+the bits of `dba_average` on its group alone.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_series
-from .dtw import dtw_paths, medoid
+from .core import as_series, check_count
+from .dtw import _paths, medoid
 
-__all__ = ["DbaConfig", "dba_iteration", "dba_average"]
+__all__ = ["DbaConfig", "dba_iteration", "dba_average", "dba_averages"]
 
 
 @dataclass(frozen=True)
@@ -29,36 +35,78 @@ class DbaConfig:
     iterations: int = 10
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        check_count("iterations", self.iterations, 1)
+
+
+def _step(groups) -> list[np.ndarray]:
+    """One refinement step of each (prototype, members) group of checked series.
+
+    Every member of every group is aligned in one `_paths` call. Path
+    continuity guarantees every prototype coordinate receives at least one
+    sample. The mean is accumulated relative to the first sample aligned to
+    each coordinate, so averaging identical samples reproduces them exactly
+    and the step is deterministic (fixed tie-breaking in the backtrack,
+    samples summed in member order, then path order).
+    """
+    xs = [proto for proto, members in groups for _ in members]
+    aligned = iter(_paths(xs, [m for _, members in groups for m in members]))
+    out = []
+    for _, members in groups:
+        coords, samples = [], []
+        for member, (_, rows, cols) in zip(members, aligned):
+            coords += rows
+            samples.append(member[cols])
+        coords = np.array(coords)
+        samples = np.concatenate(samples)
+        # Every coordinate occurs, so the unique coordinates are 0..len(proto)-1.
+        pivots = samples[np.unique(coords, return_index=True)[1]]
+        # bincount adds its weights in input order, like the sequential sum.
+        delta_sums = np.bincount(coords, samples - pivots[coords])
+        counts = np.bincount(coords)
+        out.append(pivots + delta_sums / counts)
+    return out
 
 
 def dba_iteration(prototype, members) -> np.ndarray:
-    """One refinement step: align every member, then average per coordinate.
-
-    Path continuity guarantees every prototype coordinate receives at least
-    one sample. The mean is accumulated relative to the first sample aligned
-    to each coordinate, so averaging identical samples reproduces them
-    exactly and the step is deterministic (fixed tie-breaking in dtw_paths,
-    samples summed in member order, then path order).
-    """
+    """One refinement step: align every member, then average per coordinate."""
     proto = as_series(prototype, "dba: prototype")
     members = [as_series(m, f"dba: members[{k}]") for k, m in enumerate(members)]
     if not members:
         raise ValueError("dba_iteration: empty member set")
-    coords, samples = [], []
-    for member, (_, path) in zip(members, dtw_paths(proto, members)):
-        ij = np.array(path) - 1
-        coords.append(ij[:, 0])
-        samples.append(member[ij[:, 1]])
-    coords = np.concatenate(coords)
-    samples = np.concatenate(samples)
-    # Every coordinate occurs, so the unique coordinates are 0..len(proto)-1.
-    pivots = samples[np.unique(coords, return_index=True)[1]]
-    # bincount adds its weights in input order, like the sequential sum.
-    delta_sums = np.bincount(coords, samples - pivots[coords])
-    counts = np.bincount(coords)
-    return pivots + delta_sums / counts
+    return _step([(proto, members)])[0]
+
+
+def dba_averages(groups, config: DbaConfig = DbaConfig()) -> list[np.ndarray]:
+    """`[dba_average(members, config) for members in groups]`, stepped together.
+
+    Members are checked once. Each group starts from its medoid and steps
+    until it reaches its own fixed point or config.iterations steps; a step
+    reads a prototype only through the warping paths, so once a step
+    returns a prototype equal to its input, every later step returns those
+    same bits.
+    """
+    groups = [
+        [as_series(m, f"dba: groups[{g}][{k}]") for k, m in enumerate(members)]
+        for g, members in enumerate(groups)
+    ]
+    for g, members in enumerate(groups):
+        if not members:
+            raise ValueError(f"dba_averages: group {g} has no members")
+    protos = [members[medoid(members)] for members in groups]
+    active = list(range(len(groups)))
+    for _ in range(config.iterations):
+        if not active:
+            break
+        stepped = _step([(protos[g], groups[g]) for g in active])
+        moved = []
+        for g, proto in zip(active, stepped):
+            if not np.array_equal(proto, protos[g]):
+                moved.append(g)
+            protos[g] = proto
+        active = moved
+    for proto in protos:
+        proto.flags.writeable = False
+    return protos
 
 
 def dba_average(members, config: DbaConfig = DbaConfig()) -> np.ndarray:
@@ -66,17 +114,6 @@ def dba_average(members, config: DbaConfig = DbaConfig()) -> np.ndarray:
 
     Initializes the prototype to the set's medoid and returns the result of
     exactly config.iterations refinement steps; steps after a fixed point
-    are skipped. A step reads the prototype only through the warping paths,
-    so once a step returns a prototype equal to its input, every later step
-    returns those same bits.
+    are skipped (see `dba_averages`).
     """
-    members = list(members)
-    if not members:
-        raise ValueError("dba_average: empty member set")
-    proto = members[medoid(members)]
-    for _ in range(config.iterations):
-        previous, proto = proto, dba_iteration(proto, members)
-        if np.array_equal(proto, previous):
-            break
-    proto.flags.writeable = False
-    return proto
+    return dba_averages([members], config)[0]

@@ -13,8 +13,9 @@ diagonal s = i + j, and its three predecessors lie on diagonals s-1 and
 s-2, so a whole diagonal depends only on earlier ones. The table is stored
 skewed, in diagonal-major order: `S[s, i+1, p] = D_p[i, s-i]`, and column 0
 stands for i = -1 and holds inf. The last axis holds a batch of P pairs
-that share both lengths, so one call aligns a reference against many
-members.
+that share both lengths, each with its own first series, so one call
+aligns the members of several DBA groups against their own prototypes
+(`dba._step`).
 
 The kernel works on blocks of diagonals. With the second series reversed
 in time and padded with n-1 infs on both sides, the samples b[s-i] of
@@ -39,8 +40,8 @@ block, carrying the last two diagonals into the next block, so it needs
 O(n + m). It puts the shorter series on the rows, so its n+m-1 diagonals
 of min(n, m) cells each keep the time O(n * m). A path needs the whole
 table as one block, (n+m-1) * (n+1) float64 slots, about 16 bytes per
-cell of D when the lengths are equal. `dtw_paths` splits its batch so
-that one table stays under `_PATH_TABLE_BYTES`.
+cell of D when the lengths are equal. `_paths` splits a batch so that one
+table stays under `_PATH_TABLE_BYTES`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
     "pairwise_dtw_matrix",
 ]
 
-# `dtw_paths` splits a batch so that its skewed table stays under this many
+# `_paths` splits a batch so that its skewed table stays under this many
 # bytes; a table that holds a single pair may exceed it.
 _PATH_TABLE_BYTES = 64 * 2**20
 
@@ -108,10 +109,11 @@ def _wavefront(x: np.ndarray, y_rev: np.ndarray, table: np.ndarray) -> np.ndarra
         s, row = stop, 2
 
 
-def _backtrack(table: np.ndarray, n: int, m: int, p: int) -> list[tuple[int, int]]:
+def _backtrack(table: np.ndarray, n: int, m: int, p: int) -> tuple[list[int], list[int]]:
+    """Rows and columns (0-based) of pair p's optimal path, start to end."""
     item = table.item  # one cell at a time: cheaper than converting the table
     i, j = n - 1, m - 1
-    path = [(n, m)]
+    rows, cols = [i], [j]
     while i > 0 or j > 0:
         if i == 0:
             j -= 1
@@ -122,37 +124,47 @@ def _backtrack(table: np.ndarray, n: int, m: int, p: int) -> list[tuple[int, int
             diag = item(s - 2, i, p)
             up = item(s - 1, i, p)
             left = item(s - 1, i + 1, p)
-            best = min(diag, up, left)
-            if diag == best:
+            # Ties go to the diagonal, then to up; no cell is NaN.
+            if diag <= up and diag <= left:
                 i -= 1
                 j -= 1
-            elif up == best:
+            elif up <= left:
                 i -= 1
             else:
                 j -= 1
-        path.append((i + 1, j + 1))
-    path.reverse()
-    return path
+        rows.append(i)
+        cols.append(j)
+    rows.reverse()
+    cols.reverse()
+    return rows, cols
 
 
-def _paths(x: np.ndarray, ys: list[np.ndarray]) -> list:
-    """Cost and path of x against each of ys, batched by member length."""
-    n = len(x)
+def _paths(xs: list[np.ndarray], ys: list[np.ndarray]) -> list:
+    """(cost, rows, cols) of each pair xs[k], ys[k], batched by both lengths.
+
+    Pairs of one (len(x), len(y)) share a table, split so that it stays
+    under `_PATH_TABLE_BYTES`. Rows and columns are the 0-based path.
+    """
     out: list = [None] * len(ys)
-    by_length: dict[int, list[int]] = {}
-    for k, y in enumerate(ys):
-        by_length.setdefault(len(y), []).append(k)
-    for m, members in by_length.items():
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for k, (x, y) in enumerate(zip(xs, ys, strict=True)):
+        by_shape.setdefault((len(x), len(y)), []).append(k)
+    for (n, m), pairs in by_shape.items():
         pair_bytes = (n + m - 1) * (n + 1) * 8
         chunk = max(1, _PATH_TABLE_BYTES // pair_bytes)
-        for start in range(0, len(members), chunk):
-            part = members[start : start + chunk]
+        for start in range(0, len(pairs), chunk):
+            part = pairs[start : start + chunk]
+            x = np.stack([xs[k] for k in part], axis=1)
             y_rev = np.stack([ys[k][::-1] for k in part], axis=1)
             table = np.empty((n + m - 1, n + 1, len(part)))
-            _wavefront(np.repeat(x[:, None], len(part), axis=1), y_rev, table)
+            _wavefront(x, y_rev, table)
             for p, k in enumerate(part):
-                out[k] = (table.item(n + m - 2, n, p), _backtrack(table, n, m, p))
+                out[k] = (table.item(n + m - 2, n, p), *_backtrack(table, n, m, p))
     return out
+
+
+def _one_based(cost: float, rows: list[int], cols: list[int]):
+    return cost, [(i + 1, j + 1) for i, j in zip(rows, cols)]
 
 
 def dtw_distance(a, b) -> float:
@@ -182,7 +194,8 @@ def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
     decreasing j, so the returned path is deterministic. The returned cost
     is bit-identical to dtw_distance on the same pair.
     """
-    return _paths(as_series(a, "dtw: series 'a'"), [as_series(b, "dtw: series 'b'")])[0]
+    x = as_series(a, "dtw: series 'a'")
+    return _one_based(*_paths([x], [as_series(b, "dtw: series 'b'")])[0])
 
 
 def dtw_paths(reference, members) -> list[tuple[float, list[tuple[int, int]]]]:
@@ -193,7 +206,7 @@ def dtw_paths(reference, members) -> list[tuple[float, list[tuple[int, int]]]]:
     """
     x = as_series(reference, "dtw: series 'reference'")
     ys = [as_series(m, f"dtw: series 'members[{k}]'") for k, m in enumerate(members)]
-    return _paths(x, ys)
+    return [_one_based(*path) for path in _paths([x] * len(ys), ys)]
 
 
 def pairwise_dtw_matrix(series) -> np.ndarray:

@@ -50,12 +50,13 @@ byte-equal to fresh buffers.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledSeries, as_series
+from .core import LabeledSeries, as_series, check_count
 
 __all__ = [
     "FcnModel",
@@ -148,8 +149,9 @@ class TrainConfig:
     """The training schedule and seed; defaults are the standard recipe.
 
     Adam's other settings are the fixed ADAM_BETA1, ADAM_BETA2 and
-    ADAM_EPSILON. epochs = 0 is allowed as an explicit no-op boundary; the
-    learning rate must be finite and positive.
+    ADAM_EPSILON. epochs and batch_size are integers, not bools; epochs = 0
+    is allowed as an explicit no-op boundary. The learning rate must be a
+    finite positive real number.
     """
 
     epochs: int = 2000
@@ -158,14 +160,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}"
-            )
+        check_count("epochs", self.epochs, 0)
+        check_count("batch_size", self.batch_size, 1)
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
+            raise ValueError(f"learning_rate must be a real number, got {lr!r}")
+        if not 0 < lr < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {lr}")
 
 
 @dataclass

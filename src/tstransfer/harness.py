@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import statistics
@@ -325,7 +326,9 @@ _CELL_FIELDS = {
     "target": lambda value: type(value) is str,
     "baseline_accuracy": _is_accuracy,
     "transfer_accuracy": _is_accuracy,
-    "variation_percent": lambda value: value is None or type(value) in (int, float),
+    # json.load reads NaN and Infinity, which no cell writes.
+    "variation_percent": lambda value: value is None or (
+        type(value) in (int, float) and -math.inf < value < math.inf),
 }
 _FAILED_FIELDS = {key: _CELL_FIELDS["source"] for key in ("source", "target", "error")}
 
@@ -363,7 +366,7 @@ def load_matrix_results(out_dir) -> VariationMatrix:
     DataValidationError naming two cells that disagree. A cell file that is
     not a JSON object, lacks a field that `report` reads or holds a bad value
     there (`source`, `target` and a failure's `error` strings, accuracies
-    numbers in [0, 1], `variation_percent` a number or null) raises
+    numbers in [0, 1], `variation_percent` a finite number or null) raises
     DataValidationError naming the file; so does a cell both completed and
     failed. `names` holds every dataset of a completed or failed cell.
     """

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataValidationError, Dataset, group_by_class
-from .dba import DbaConfig, dba_average
+from .core import DataValidationError, Dataset, group_by_class, parse_decimals
+from .dba import DbaConfig, dba_averages
 from .dtw import dtw_distance
 from .textfmt import dump_csv_17g, dump_json_17g
 
@@ -104,7 +104,8 @@ def reduce_dataset(dataset: Dataset, config: DbaConfig = DbaConfig()) -> ClassPr
     Only train data participates; the test split is never touched.
     """
     groups = group_by_class(dataset.train)
-    prototypes = {c: dba_average(groups[c], config) for c in range(dataset.class_count)}
+    classes = range(dataset.class_count)
+    prototypes = dict(zip(classes, dba_averages([groups[c] for c in classes], config)))
     return ClassPrototypes(dataset_name=dataset.name, prototypes=prototypes)
 
 
@@ -179,7 +180,7 @@ def read_matrix_csv(path) -> SimilarityMatrix:
                 f"{path}:{line}: row label {row[0]!r} does not match column {names[i]!r}"
             )
         try:
-            values[i] = [float(v) for v in row[1:]]
+            values[i] = parse_decimals(row[1:])
         except ValueError as exc:
             raise DataValidationError(f"{path}:{line}: {exc}") from None
     try:

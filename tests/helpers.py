@@ -160,6 +160,19 @@ def reference_and_members(draw, max_len: int = 40):
     return reference, [draw(st.lists(el, min_size=k, max_size=k)) for k in picks]
 
 
+@st.composite
+def pairs_of_mixed_shapes(draw, max_len: int = 30):
+    """1-8 pairs, each of its own kind, whose lengths repeat so batches form."""
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=3, max_size=3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        el = draw(st.sampled_from(SAMPLES))
+        n, m = draw(st.sampled_from(lengths)), draw(st.sampled_from(lengths))
+        pairs.append((draw(st.lists(el, min_size=n, max_size=n)),
+                      draw(st.lists(el, min_size=m, max_size=m))))
+    return pairs
+
+
 def is_valid_warping_path(path, len_a: int, len_b: int) -> bool:
     """Starts at (1,1), ends at the corner, steps +1 in i, j, or both."""
     if path[0] != (1, 1) or path[-1] != (len_a, len_b):

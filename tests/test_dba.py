@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import tstransfer.dba as dba
 from helpers import dba_iteration_reference, reference_and_members
-from tstransfer import DbaConfig, dba_average, dba_iteration, dtw_distance, medoid
+from tstransfer import (
+    DbaConfig,
+    dba_average,
+    dba_averages,
+    dba_iteration,
+    dtw_distance,
+    medoid,
+)
 
 
 def within_set_cost(prototype, members):
@@ -19,6 +26,11 @@ class TestDbaConfig:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             DbaConfig(iterations=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_rejects_a_count_that_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match="^iterations must be an integer, got"):
+            DbaConfig(iterations=value)
 
 
 class TestDbaIteration:
@@ -126,13 +138,13 @@ class TestDbaAverage:
 
     def test_identical_members_run_one_step(self, monkeypatch):
         calls = []
-        step = dba.dba_iteration
+        step = dba._step
 
-        def counting(prototype, members):
-            calls.append(1)
-            return step(prototype, members)
+        def counting(groups):
+            calls.append(len(groups))
+            return step(groups)
 
-        monkeypatch.setattr(dba, "dba_iteration", counting)
+        monkeypatch.setattr(dba, "_step", counting)
         s = np.array([0.3, -1.1, 0.8, 0.8])
         out = dba_average([s, s.copy(), s.copy()], DbaConfig(iterations=10))
         assert np.array_equal(out, s)
@@ -148,3 +160,54 @@ class TestDbaAverage:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dba_average([])
+
+
+class TestDbaAverages:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(reference_and_members(max_len=16), min_size=1, max_size=4),
+           st.integers(1, 8))
+    def test_equals_reference_steps_from_each_medoid(self, cases, k):
+        # Each group draws its own sample kind: integer groups often reach
+        # their fixed points within a few steps, float groups rarely do.
+        groups = [[reference] + members for reference, members in cases]
+        out = dba_averages(groups, DbaConfig(k))
+        assert len(out) == len(groups)
+        for members, got in zip(groups, out):
+            proto = np.array(members[medoid(members)], dtype=np.float64)
+            for _ in range(k):
+                proto = dba_iteration_reference(proto, members)
+            assert got.tobytes() == proto.tobytes()
+
+    def test_groups_leave_the_batch_at_their_own_fixed_points(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        s = np.array([0.3, -1.1, 0.8])
+        groups = [[rng.standard_normal(9) for _ in range(4)],
+                  [s, s.copy()],
+                  [rng.standard_normal(rng.integers(5, 12)) for _ in range(3)]]
+        widths = []
+        step = dba._step
+
+        def counting(batch):
+            widths.append([len(members) for _, members in batch])
+            return step(batch)
+
+        monkeypatch.setattr(dba, "_step", counting)
+        out = dba_averages(groups, DbaConfig(iterations=4))
+        # The identical pair stops after its first step and the three short
+        # series after their third; the four long ones run all 4.
+        assert widths == [[4, 2, 3], [4, 3], [4, 3], [4]]
+        monkeypatch.undo()
+        for members, got in zip(groups, out):
+            assert got.tobytes() == dba_average(members, DbaConfig(4)).tobytes()
+            assert not got.flags.writeable
+
+    def test_no_groups(self):
+        assert dba_averages([]) == []
+
+    def test_rejects_an_empty_group(self):
+        with pytest.raises(ValueError, match="group 1 has no members"):
+            dba_averages([[np.zeros(2)], []])
+
+    def test_rejects_a_bad_member_naming_its_group(self):
+        with pytest.raises(ValueError, match=r"groups\[1\]\[0\] contains non-finite"):
+            dba_averages([[np.zeros(2)], [np.array([np.nan])]])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tstransfer.dtw as dtw
 from helpers import (
     dtw_brute_force,
     dtw_path_reference,
     is_valid_warping_path,
+    pairs_of_mixed_shapes,
     reference_and_members,
     series_pairs,
 )
@@ -241,3 +243,42 @@ class TestDtwPaths:
         monkeypatch.setattr(dtw, "_PATH_TABLE_BYTES", 2 * (10 + 8 - 1) * 11 * 8)
         assert dtw_paths(reference, members) == expected
         assert sorted(batches) == [1, 1, 1, 2, 2]
+
+
+class TestPairsOfMixedShapes:
+    """`_paths` with one reference per pair, the kernel DBA aligns through."""
+
+    @PROPERTY
+    @given(pairs_of_mixed_shapes(), st.integers(1, 3000))
+    def test_each_pair_equals_the_reference(self, pairs, table_bytes):
+        # A budget of a few KB splits most batches into several tables, and
+        # below one pair's table every pair gets a table of its own.
+        xs = [np.asarray(x, dtype=np.float64) for x, _ in pairs]
+        ys = [np.asarray(y, dtype=np.float64) for _, y in pairs]
+        saved, dtw._PATH_TABLE_BYTES = dtw._PATH_TABLE_BYTES, table_bytes
+        try:
+            got = dtw._paths(xs, ys)
+        finally:
+            dtw._PATH_TABLE_BYTES = saved
+        for (cost, rows, cols), (x, y) in zip(got, pairs, strict=True):
+            expected_cost, expected_path = dtw_path_reference(x, y)
+            assert cost == expected_cost
+            assert [(i + 1, j + 1) for i, j in zip(rows, cols)] == expected_path
+
+    def test_pairs_of_one_shape_share_a_table_across_references(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        shapes = [(6, 4), (5, 4), (6, 4), (6, 7), (6, 4), (5, 4)]
+        xs = [rng.standard_normal(n) for n, _ in shapes]
+        ys = [rng.standard_normal(m) for _, m in shapes]
+        batches = []
+        kernel = dtw._wavefront
+
+        def counting(x, y_rev, table):
+            batches.append((x.shape[0], y_rev.shape[0], table.shape[2]))
+            kernel(x, y_rev, table)
+
+        monkeypatch.setattr(dtw, "_wavefront", counting)
+        got = dtw._paths(xs, ys)
+        assert sorted(batches) == [(5, 4, 2), (6, 4, 3), (6, 7, 1)]
+        assert [cost for cost, _, _ in got] == [
+            dtw_path_reference(x, y)[0] for x, y in zip(xs, ys)]

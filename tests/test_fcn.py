@@ -80,6 +80,24 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", 2.0), ("epochs", True), ("epochs", "3"),
+        ("batch_size", 8.0), ("batch_size", False), ("batch_size", None),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("lr", ["0.001", None, True])
+    def test_learning_rate_must_be_a_real_number(self, lr):
+        with pytest.raises(ValueError, match="^learning_rate must be a real number, got"):
+            TrainConfig(learning_rate=lr)
+
+    def test_numpy_scalars_are_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4),
+                          learning_rate=np.float32(0.01))
+        assert (cfg.epochs, cfg.batch_size) == (3, 4)
+
 
 class TestBuildModel:
     def test_shapes(self):

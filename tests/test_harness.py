@@ -382,6 +382,25 @@ class TestRunMatrix:
         assert run_matrix(datasets, FAST, seeds=[0], out_dir=out).cells == fresh.cells
         assert cells_of(pairs) == [("A", "B")]
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_a_cell_file_with_a_non_finite_variation_is_named_and_recomputed(
+        self, tmp_path, monkeypatch, token
+    ):
+        datasets = tiny_datasets(2)
+        out = tmp_path / "bad"
+        fresh = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
+        path = out / "cells" / "A__B.json"
+        record = json.loads(path.read_text())
+        # json.dumps writes a non-finite float as the bare token json.load reads.
+        path.write_text(json.dumps({**record, "variation_percent": float(token)}))
+        assert token in path.read_text()
+        with pytest.raises(DataValidationError,
+                           match=r"A__B\.json: .*variation_percent"):
+            load_matrix_results(out)
+        pairs = record_calls(monkeypatch, harness, "run_pair")
+        assert run_matrix(datasets, FAST, seeds=[0], out_dir=out).cells == fresh.cells
+        assert cells_of(pairs) == [("A", "B")]
+
     def test_load_refuses_cells_of_different_runs(self, tmp_path):
         out = tmp_path / "mixed"
         run_matrix(tiny_datasets(3), TrainConfig(epochs=1, batch_size=8), out_dir=out)

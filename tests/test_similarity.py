@@ -290,6 +290,15 @@ class TestExports:
         with pytest.raises(DataValidationError, match=message):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("cell", ["1_5", "\u0661.5", "1.5\u00a0"])
+    def test_matrix_csv_number_spelt_only_for_python_is_rejected(self, tmp_path, cell):
+        # float() reads "1_5" as 15.0 and "\u0661.5" (Arabic-Indic one) as 1.5
+        path = tmp_path / "matrix.csv"
+        path.write_text(f",a,b\na,0,{cell}\nb,{cell},0\n", encoding="utf-8")
+        with pytest.raises(DataValidationError,
+                           match=r"matrix\.csv:2: values must be ASCII decimals"):
+            read_matrix_csv(path)
+
     @pytest.mark.parametrize(
         "text, message",
         [(",a,b\na,0,1\nb,2,0\n", "matrix must be exactly symmetric"),
