@@ -76,25 +76,17 @@ def dba_iteration(prototype, members) -> np.ndarray:
     return _step([(proto, members)])[0]
 
 
-def dba_averages(groups, config: DbaConfig = DbaConfig()) -> list[np.ndarray]:
-    """`[dba_average(members, config) for members in groups]`, stepped together.
+def _refine(groups: list[list[np.ndarray]], iterations: int) -> list[np.ndarray]:
+    """The prototypes of non-empty groups of checked members, stepped together.
 
-    Members are checked once. Each group starts from its medoid and steps
-    until it reaches its own fixed point or config.iterations steps; a step
-    reads a prototype only through the warping paths, so once a step
-    returns a prototype equal to its input, every later step returns those
-    same bits.
+    Each group starts from its medoid and steps until it reaches its own
+    fixed point or `iterations` steps; a step reads a prototype only through
+    the warping paths, so once a step returns a prototype equal to its
+    input, every later step returns those same bits.
     """
-    groups = [
-        [as_series(m, f"dba: groups[{g}][{k}]") for k, m in enumerate(members)]
-        for g, members in enumerate(groups)
-    ]
-    for g, members in enumerate(groups):
-        if not members:
-            raise ValueError(f"dba_averages: group {g} has no members")
     protos = [members[medoid(members)] for members in groups]
     active = list(range(len(groups)))
-    for _ in range(config.iterations):
+    for _ in range(iterations):
         if not active:
             break
         stepped = _step([(protos[g], groups[g]) for g in active])
@@ -109,6 +101,22 @@ def dba_averages(groups, config: DbaConfig = DbaConfig()) -> list[np.ndarray]:
     return protos
 
 
+def dba_averages(groups, config: DbaConfig = DbaConfig()) -> list[np.ndarray]:
+    """`[dba_average(members, config) for members in groups]`, stepped together.
+
+    Members are checked once, and every step aligns the members of all
+    groups that have not reached their fixed point in one batch.
+    """
+    groups = [
+        [as_series(m, f"dba: groups[{g}][{k}]") for k, m in enumerate(members)]
+        for g, members in enumerate(groups)
+    ]
+    for g, members in enumerate(groups):
+        if not members:
+            raise ValueError(f"dba_averages: group {g} has no members")
+    return _refine(groups, config.iterations)
+
+
 def dba_average(members, config: DbaConfig = DbaConfig()) -> np.ndarray:
     """Average a non-empty set of series in the warping-induced space.
 
@@ -116,4 +124,7 @@ def dba_average(members, config: DbaConfig = DbaConfig()) -> np.ndarray:
     exactly config.iterations refinement steps; steps after a fixed point
     are skipped (see `dba_averages`).
     """
-    return dba_averages([members], config)[0]
+    members = [as_series(m, f"dba: members[{k}]") for k, m in enumerate(members)]
+    if not members:
+        raise ValueError("dba_average: empty member set")
+    return _refine([members], config.iterations)[0]

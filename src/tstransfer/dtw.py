@@ -40,8 +40,8 @@ block, carrying the last two diagonals into the next block, so it needs
 O(n + m). It puts the shorter series on the rows, so its n+m-1 diagonals
 of min(n, m) cells each keep the time O(n * m). A path needs the whole
 table as one block, (n+m-1) * (n+1) float64 slots, about 16 bytes per
-cell of D when the lengths are equal. `_paths` splits a batch so that one
-table stays under `_PATH_TABLE_BYTES`.
+cell of D when the lengths are equal. `_paths` splits a batch into the
+fewest tables of near-equal width that stay under `_PATH_TABLE_BYTES`.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ __all__ = [
 ]
 
 # `_paths` splits a batch so that its skewed table stays under this many
-# bytes; a table that holds a single pair may exceed it.
-_PATH_TABLE_BYTES = 64 * 2**20
+# bytes; a table that holds a single pair may exceed it. Wider tables were
+# no faster per pair: at T=128 and T=256, the time per pair was lowest with
+# tables of 6-16 MB and up to half as much again at 32-64 MB.
+_PATH_TABLE_BYTES = 16 * 2**20
 
 # Rows of the table `dtw_distance` fills block by block.
 _DISTANCE_ROWS = 64
@@ -111,27 +113,35 @@ def _wavefront(x: np.ndarray, y_rev: np.ndarray, table: np.ndarray) -> np.ndarra
 
 def _backtrack(table: np.ndarray, n: int, m: int, p: int) -> tuple[list[int], list[int]]:
     """Rows and columns (0-based) of pair p's optimal path, start to end."""
-    item = table.item  # one cell at a time: cheaper than converting the table
+    # k is the flat index of table entry (s-2, i, p), the diagonal
+    # predecessor of cell (i, j) with s = i + j; its up predecessor is one
+    # diagonal later, its left one diagonal and one column later.
+    cells = memoryview(table.reshape(-1))
+    width = table.shape[2]
+    diagonal, column = (n + 1) * width, width
     i, j = n - 1, m - 1
+    k = (i + j - 2) * diagonal + i * column + p
     rows, cols = [i], [j]
     while i > 0 or j > 0:
         if i == 0:
             j -= 1
+            k -= diagonal
         elif j == 0:
             i -= 1
+            k -= diagonal + column
         else:
-            s = i + j
-            diag = item(s - 2, i, p)
-            up = item(s - 1, i, p)
-            left = item(s - 1, i + 1, p)
+            diag, up, left = cells[k], cells[k + diagonal], cells[k + diagonal + column]
             # Ties go to the diagonal, then to up; no cell is NaN.
             if diag <= up and diag <= left:
                 i -= 1
                 j -= 1
+                k -= 2 * diagonal + column
             elif up <= left:
                 i -= 1
+                k -= diagonal + column
             else:
                 j -= 1
+                k -= diagonal
         rows.append(i)
         cols.append(j)
     rows.reverse()
@@ -142,8 +152,9 @@ def _backtrack(table: np.ndarray, n: int, m: int, p: int) -> tuple[list[int], li
 def _paths(xs: list[np.ndarray], ys: list[np.ndarray]) -> list:
     """(cost, rows, cols) of each pair xs[k], ys[k], batched by both lengths.
 
-    Pairs of one (len(x), len(y)) share a table, split so that it stays
-    under `_PATH_TABLE_BYTES`. Rows and columns are the 0-based path.
+    Pairs of one (len(x), len(y)) share a table, split into tables of
+    near-equal width that stay under `_PATH_TABLE_BYTES`. Rows and columns
+    are the 0-based path.
     """
     out: list = [None] * len(ys)
     by_shape: dict[tuple[int, int], list[int]] = {}
@@ -151,15 +162,18 @@ def _paths(xs: list[np.ndarray], ys: list[np.ndarray]) -> list:
         by_shape.setdefault((len(x), len(y)), []).append(k)
     for (n, m), pairs in by_shape.items():
         pair_bytes = (n + m - 1) * (n + 1) * 8
-        chunk = max(1, _PATH_TABLE_BYTES // pair_bytes)
-        for start in range(0, len(pairs), chunk):
-            part = pairs[start : start + chunk]
+        fit = max(1, _PATH_TABLE_BYTES // pair_bytes)
+        tables = -(-len(pairs) // fit)
+        width = -(-len(pairs) // tables)  # the fewest tables, as even as can be
+        for start in range(0, len(pairs), width):
+            part = pairs[start : start + width]
             x = np.stack([xs[k] for k in part], axis=1)
             y_rev = np.stack([ys[k][::-1] for k in part], axis=1)
             table = np.empty((n + m - 1, n + 1, len(part)))
             _wavefront(x, y_rev, table)
             for p, k in enumerate(part):
                 out[k] = (table.item(n + m - 2, n, p), *_backtrack(table, n, m, p))
+            del table  # one table at a time
     return out
 
 

@@ -158,8 +158,12 @@ class TestDbaAverage:
         assert np.array_equal(a, b)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dba_average: empty member set"):
             dba_average([])
+
+    def test_rejects_a_bad_member_naming_it(self):
+        with pytest.raises(ValueError, match=r"dba: members\[1\] contains non-finite"):
+            dba_average([np.zeros(2), np.array([np.nan])])
 
 
 class TestDbaAverages:

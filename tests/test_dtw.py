@@ -244,6 +244,24 @@ class TestDtwPaths:
         assert dtw_paths(reference, members) == expected
         assert sorted(batches) == [1, 1, 1, 2, 2]
 
+    def test_split_tables_are_as_even_as_can_be(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        reference = rng.standard_normal(6)
+        members = [rng.standard_normal(5) for _ in range(5)]
+        batches = []
+        kernel = dtw._wavefront
+
+        def counting(x, y_rev, table):
+            batches.append(table.shape[2])
+            kernel(x, y_rev, table)
+
+        monkeypatch.setattr(dtw, "_wavefront", counting)
+        # Room for four pairs: five take two tables of 3 and 2, not 4 and 1.
+        monkeypatch.setattr(dtw, "_PATH_TABLE_BYTES", 4 * (6 + 5 - 1) * 7 * 8)
+        assert dtw_paths(reference, members) == [
+            dtw_path_reference(reference, m) for m in members]
+        assert batches == [3, 2]
+
 
 class TestPairsOfMixedShapes:
     """`_paths` with one reference per pair, the kernel DBA aligns through."""
