@@ -19,7 +19,7 @@ from .core import (
     z_normalize,
 )
 from .dba import DbaConfig, dba_average, dba_averages, dba_iteration
-from .dtw import dtw_distance, dtw_path, dtw_paths, medoid, pairwise_dtw_matrix
+from .dtw import dtw_distance, dtw_path, medoid, pairwise_dtw_matrix
 from .fcn import (
     AdamState,
     FcnModel,

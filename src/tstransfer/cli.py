@@ -8,7 +8,7 @@ import os
 import sys
 import time
 
-from .core import Dataset, find_ucr_pair, load_ucr_dataset
+from .core import Dataset, check_count, find_ucr_pair, load_ucr_dataset
 from .dba import DbaConfig
 from .fcn import TrainConfig, evaluate
 from .harness import (
@@ -90,7 +90,7 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_similarity(args) -> int:
     datasets = _load_datasets(args)
-    matrix = similarity_matrix(datasets, DbaConfig(iterations=args.dba_iters))
+    matrix = similarity_matrix(datasets, args.dba_config)
     write_matrix_csv(matrix, args.out)
     print(f"wrote {len(datasets)}x{len(datasets)} similarity matrix to {args.out}")
     return 0
@@ -202,16 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Training settings and every output's directory are checked before
-        # a command loads or computes anything.
+        # Training and DBA settings, the seed count and every output's
+        # directory are checked before a command loads or computes anything.
         if "lr" in args:
             args.config = _train_config(args)
+        if "dba_iters" in args:
+            args.dba_config = DbaConfig(iterations=args.dba_iters)
+        if "seeds" in args:
+            check_count("seeds", args.seeds, 1)
         for out in (getattr(args, "out", None), getattr(args, "aggregate_out", None)):
             if out and not os.path.isdir(os.path.dirname(out) or "."):
                 raise FileNotFoundError(f"no directory for output {out!r}")
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -54,7 +54,6 @@ from .core import as_series
 __all__ = [
     "dtw_distance",
     "dtw_path",
-    "dtw_paths",
     "medoid",
     "pairwise_dtw_matrix",
 ]
@@ -177,10 +176,6 @@ def _paths(xs: list[np.ndarray], ys: list[np.ndarray]) -> list:
     return out
 
 
-def _one_based(cost: float, rows: list[int], cols: list[int]):
-    return cost, [(i + 1, j + 1) for i, j in zip(rows, cols)]
-
-
 def dtw_distance(a, b) -> float:
     """Minimum cumulative squared-difference cost over all warping paths.
 
@@ -209,23 +204,16 @@ def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
     is bit-identical to dtw_distance on the same pair.
     """
     x = as_series(a, "dtw: series 'a'")
-    return _one_based(*_paths([x], [as_series(b, "dtw: series 'b'")])[0])
-
-
-def dtw_paths(reference, members) -> list[tuple[float, list[tuple[int, int]]]]:
-    """`[dtw_path(reference, m) for m in members]`, aligned in batches.
-
-    Members of one length share one table; the result is in input order
-    and identical to the per-pair calls.
-    """
-    x = as_series(reference, "dtw: series 'reference'")
-    ys = [as_series(m, f"dtw: series 'members[{k}]'") for k, m in enumerate(members)]
-    return [_one_based(*path) for path in _paths([x] * len(ys), ys)]
+    [(cost, rows, cols)] = _paths([x], [as_series(b, "dtw: series 'b'")])
+    return cost, [(i + 1, j + 1) for i, j in zip(rows, cols)]
 
 
 def pairwise_dtw_matrix(series) -> np.ndarray:
-    """Symmetric matrix of DTW distances between all members of a collection."""
-    items = list(series)
+    """Symmetric matrix of DTW distances between all members of a collection.
+
+    Each member is checked by `core.as_series`, a lone one too.
+    """
+    items = [as_series(m, f"dtw: members[{k}]") for k, m in enumerate(series)]
     n = len(items)
     if n == 0:
         raise ValueError("pairwise_dtw_matrix: empty collection")
@@ -244,7 +232,4 @@ def medoid(series) -> int:
     items = list(series)
     if not items:
         raise ValueError("medoid: empty collection")
-    if len(items) == 1:
-        return 0
-    sums = pairwise_dtw_matrix(items).sum(axis=1)
-    return int(np.argmin(sums))
+    return int(np.argmin(pairwise_dtw_matrix(items).sum(axis=1)))

@@ -150,6 +150,14 @@ def series_pairs(max_len: int):
     )
 
 
+def series_lists(max_len: int):
+    """1-6 series of 1..max_len samples of one kind; integer kinds tie often."""
+    return st.sampled_from(SAMPLES).flatmap(
+        lambda el: st.lists(st.lists(el, min_size=1, max_size=max_len),
+                            min_size=1, max_size=6)
+    )
+
+
 @st.composite
 def reference_and_members(draw, max_len: int = 40):
     """A reference plus 1-6 members drawn from two lengths, so batches form."""

@@ -156,6 +156,30 @@ class TestTrainAndTransfer:
         assert captured.err.startswith("error: learning_rate must be finite and positive")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, option, message", [
+        ("similarity", ["--dba-iters", "0"], "iterations must be >= 1, got 0"),
+        ("matrix", ["--seeds", "0"], "seeds must be >= 1, got 0"),
+    ], ids=["dba-iters", "seeds"])
+    def test_a_bad_count_fails_before_loading_data(
+        self, tmp_path, data_dir, capsys, monkeypatch, command, option, message
+    ):
+        # "Missing" has no files: the count is reported, not the missing file.
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded data before checking the count")
+
+        monkeypatch.setattr(cli, "_load_dataset", refuse)
+        argv = {
+            "similarity": ["similarity", "--data", data_dir, "--datasets", "A,Missing",
+                           "--out", tmp_path / "m.csv"],
+            "matrix": ["matrix", "--data", data_dir, "--datasets", "A,Missing",
+                       "--out-dir", tmp_path / "out", "--epochs", "1"],
+        }[command]
+        assert run([*argv, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "out").exists()
+
     def test_bad_model_file_is_reported(self, tmp_path, data_dir, capsys):
         bad = tmp_path / "bad.fcn"
         bad.write_bytes(b"not a model file at all")
@@ -248,6 +272,16 @@ class TestSimilarityRankPipeline:
         assert {e["source"] for e in data["ranking"]} == {"B", "C"}
         dists = [e["distance"] for e in data["ranking"]]
         assert dists == sorted(dists)
+
+    def test_unknown_target_is_reported_without_quotes(self, tmp_path, data_dir, capsys):
+        matrix_path = tmp_path / "matrix.csv"
+        assert run(["similarity", "--data", data_dir, "--datasets", "A,B",
+                    "--out", matrix_path, "--dba-iters", "1"]) == 0
+        capsys.readouterr()
+        assert run(["rank", "--matrix", matrix_path, "--target", "Z",
+                    "--out", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err == "error: unknown target dataset 'Z'\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_dba_iterations_default_is_the_dba_config_default(self):
         args = build_parser().parse_args(

@@ -17,13 +17,14 @@ from tstransfer import (
     dba_iteration,
     dtw_distance,
     dtw_path,
-    dtw_paths,
     evaluate,
     find_ucr_pair,
     forward,
     group_by_class,
     load_ucr_dataset,
     loss_and_gradients,
+    medoid,
+    pairwise_dtw_matrix,
     save_ucr_dataset,
     train,
     z_normalize,
@@ -75,7 +76,9 @@ def _model():
 ENTRY_POINTS = {
     "dtw_distance": lambda s: dtw_distance(s, [0.0, 1.0]),
     "dtw_path": lambda s: dtw_path([0.0, 1.0], s),
-    "dtw_paths": lambda s: dtw_paths([0.0, 1.0], [[1.0, 2.0], s]),
+    "pairwise_dtw_matrix": lambda s: pairwise_dtw_matrix([[1.0, 2.0], s]),
+    "medoid_of_one": lambda s: medoid([s]),
+    "medoid_of_two": lambda s: medoid([[1.0, 2.0], s]),
     "dba_iteration": lambda s: dba_iteration([0.0, 1.0], [[1.0, 2.0], s]),
     "dba_average": lambda s: dba_average([[1.0, 2.0], s]),
     "forward": lambda s: forward(_model(), [np.zeros(8), s]),

@@ -10,11 +10,34 @@ from helpers import (
     is_valid_warping_path,
     pairs_of_mixed_shapes,
     reference_and_members,
+    series_lists,
     series_pairs,
 )
-from tstransfer import dtw_distance, dtw_path, dtw_paths, medoid, pairwise_dtw_matrix
+from tstransfer import dtw_distance, dtw_path, medoid, pairwise_dtw_matrix
 
 PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@pytest.fixture()
+def tables(monkeypatch):
+    """(n, m, width) of every table `_wavefront` fills, in call order."""
+    shapes = []
+    kernel = dtw._wavefront
+
+    def counting(x, y_rev, table):
+        shapes.append((x.shape[0], y_rev.shape[0], table.shape[2]))
+        return kernel(x, y_rev, table)
+
+    monkeypatch.setattr(dtw, "_wavefront", counting)
+    return shapes
+
+
+def paths_against(reference, members):
+    """`_paths` of one reference against every member, as 1-based paths."""
+    x = np.asarray(reference, dtype=np.float64)
+    ys = [np.asarray(m, dtype=np.float64) for m in members]
+    return [(cost, [(i + 1, j + 1) for i, j in zip(rows, cols)])
+            for cost, rows, cols in dtw._paths([x] * len(ys), ys)]
 
 
 class TestDtwDistance:
@@ -62,21 +85,13 @@ class TestDtwDistance:
                 assert dtw_distance(a, b) == dtw_path_reference(a, b)[0]
                 assert dtw_distance(b, a) == dtw_path_reference(b, a)[0]
 
-    def test_diagonals_span_the_shorter_series(self, monkeypatch):
+    def test_diagonals_span_the_shorter_series(self, tables):
         # A diagonal of the kernel spans every sample of its first series,
         # so a long first series would cost O(n * n) instead of O(n * m).
-        widths = []
-        kernel = dtw._wavefront
-
-        def recording(x, y_rev, table):
-            widths.append(x.shape[0])
-            return kernel(x, y_rev, table)
-
-        monkeypatch.setattr(dtw, "_wavefront", recording)
         long, short = np.linspace(-1, 1, 300), np.array([0.5, -0.5, 2.0])
         assert dtw_distance(long, short) == dtw_path_reference(long, short)[0]
         assert dtw_distance(short, long) == dtw_distance(long, short)
-        assert widths == [3, 3, 3]
+        assert [n for n, _, _ in tables] == [3, 3, 3]
 
     def test_diagonal_path_upper_bound_for_equal_lengths(self):
         rng = np.random.default_rng(9)
@@ -138,8 +153,25 @@ class TestMedoid:
         assert medoid([s, s.copy(), s.copy()]) == 0
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="medoid: empty collection"):
             medoid([])
+
+    def test_names_a_bad_member_by_its_index(self):
+        with pytest.raises(ValueError, match=r"dtw: members\[2\] contains non-finite"):
+            medoid([[0.0, 1.0], [2.0], [1.0, -np.inf]])
+        with pytest.raises(ValueError, match=r"dtw: members\[0\] contains non-finite"):
+            pairwise_dtw_matrix([[np.inf]])
+
+    @PROPERTY
+    @given(series_lists(12))
+    def test_lowest_index_argmin_of_reference_row_sums(self, members):
+        n = len(members)
+        costs = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                costs[i, j] = costs[j, i] = dtw_path_reference(members[i], members[j])[0]
+        sums = costs.sum(axis=1)
+        assert medoid(members) == min(k for k in range(n) if sums[k] == sums.min())
 
     def test_pairwise_matrix_equals_per_pair_distances(self):
         rng = np.random.default_rng(17)
@@ -162,8 +194,8 @@ class TestNonFinite:
     @pytest.mark.parametrize("position", [0, 1])
     @pytest.mark.parametrize(
         "align",
-        [dtw_distance, dtw_path, lambda a, b: dtw_paths(a, [np.zeros(2), b])],
-        ids=["dtw_distance", "dtw_path", "dtw_paths"],
+        [dtw_distance, dtw_path, lambda a, b: pairwise_dtw_matrix([a, b])],
+        ids=["dtw_distance", "dtw_path", "pairwise_dtw_matrix"],
     )
     def test_rejected(self, align, position, bad):
         args = [np.array([0.5, 1.0, -0.5]), np.array([0.0, 2.0])]
@@ -176,8 +208,8 @@ class TestNonFinite:
 class TestShapes:
     @pytest.mark.parametrize(
         "align",
-        [dtw_distance, dtw_path, lambda a, b: dtw_paths(a, [b])],
-        ids=["dtw_distance", "dtw_path", "dtw_paths"],
+        [dtw_distance, dtw_path, lambda a, b: pairwise_dtw_matrix([a, b])],
+        ids=["dtw_distance", "dtw_path", "pairwise_dtw_matrix"],
     )
     def test_rejects_multi_dimensional_series(self, align):
         grid = np.arange(6.0).reshape(2, 3)
@@ -214,53 +246,42 @@ class TestAgainstScalarReference:
     def test_batched_paths_equal_per_pair_reference(self, case):
         reference, members = case
         expected = [dtw_path_reference(reference, m) for m in members]
-        assert dtw_paths(reference, members) == expected
+        assert paths_against(reference, members) == expected
 
 
 class TestDtwPaths:
-    def test_empty_member_list(self):
-        assert dtw_paths([1.0, 2.0], []) == []
+    """`_paths` with one reference for every pair, batched by member length."""
 
-    def test_chunked_batches_give_same_result(self, monkeypatch):
+    def test_empty_member_list(self, tables):
+        assert paths_against([1.0, 2.0], []) == []
+        assert tables == []
+
+    def test_chunked_batches_give_same_result(self, monkeypatch, tables):
         rng = np.random.default_rng(37)
         reference = rng.integers(-2, 3, 10).astype(float)
         members = [
             rng.integers(-2, 3, length).astype(float)
             for length in (8, 12, 8, 8, 12, 8, 8)
         ]
-        expected = dtw_paths(reference, members)
-        assert expected == [dtw_path_reference(reference, m) for m in members]
+        expected = [dtw_path_reference(reference, m) for m in members]
+        assert paths_against(reference, members) == expected
+        assert sorted(w for _, _, w in tables) == [2, 5]  # one table per length
 
-        batches = []
-        kernel = dtw._wavefront
-
-        def counting(x, y_rev, table):
-            batches.append(table.shape[2])
-            kernel(x, y_rev, table)
-
-        monkeypatch.setattr(dtw, "_wavefront", counting)
+        tables.clear()
         # Room for two length-8 tables, and one length-12 table.
         monkeypatch.setattr(dtw, "_PATH_TABLE_BYTES", 2 * (10 + 8 - 1) * 11 * 8)
-        assert dtw_paths(reference, members) == expected
-        assert sorted(batches) == [1, 1, 1, 2, 2]
+        assert paths_against(reference, members) == expected
+        assert sorted(w for _, _, w in tables) == [1, 1, 1, 2, 2]
 
-    def test_split_tables_are_as_even_as_can_be(self, monkeypatch):
+    def test_split_tables_are_as_even_as_can_be(self, monkeypatch, tables):
         rng = np.random.default_rng(38)
         reference = rng.standard_normal(6)
         members = [rng.standard_normal(5) for _ in range(5)]
-        batches = []
-        kernel = dtw._wavefront
-
-        def counting(x, y_rev, table):
-            batches.append(table.shape[2])
-            kernel(x, y_rev, table)
-
-        monkeypatch.setattr(dtw, "_wavefront", counting)
         # Room for four pairs: five take two tables of 3 and 2, not 4 and 1.
         monkeypatch.setattr(dtw, "_PATH_TABLE_BYTES", 4 * (6 + 5 - 1) * 7 * 8)
-        assert dtw_paths(reference, members) == [
+        assert paths_against(reference, members) == [
             dtw_path_reference(reference, m) for m in members]
-        assert batches == [3, 2]
+        assert [w for _, _, w in tables] == [3, 2]
 
 
 class TestPairsOfMixedShapes:
@@ -283,20 +304,12 @@ class TestPairsOfMixedShapes:
             assert cost == expected_cost
             assert [(i + 1, j + 1) for i, j in zip(rows, cols)] == expected_path
 
-    def test_pairs_of_one_shape_share_a_table_across_references(self, monkeypatch):
+    def test_pairs_of_one_shape_share_a_table_across_references(self, tables):
         rng = np.random.default_rng(41)
         shapes = [(6, 4), (5, 4), (6, 4), (6, 7), (6, 4), (5, 4)]
         xs = [rng.standard_normal(n) for n, _ in shapes]
         ys = [rng.standard_normal(m) for _, m in shapes]
-        batches = []
-        kernel = dtw._wavefront
-
-        def counting(x, y_rev, table):
-            batches.append((x.shape[0], y_rev.shape[0], table.shape[2]))
-            kernel(x, y_rev, table)
-
-        monkeypatch.setattr(dtw, "_wavefront", counting)
         got = dtw._paths(xs, ys)
-        assert sorted(batches) == [(5, 4, 2), (6, 4, 3), (6, 7, 1)]
+        assert sorted(tables) == [(5, 4, 2), (6, 4, 3), (6, 7, 1)]
         assert [cost for cost, _, _ in got] == [
             dtw_path_reference(x, y)[0] for x, y in zip(xs, ys)]
