@@ -2,11 +2,11 @@
 
 A matrix run has two phases: one model trained from scratch per (dataset,
 seed) is the dataset's baseline and its pretrained source model, and then
-each pretrained model is fine-tuned on every other target. Cell results
-land on disk as one JSON file per cell (written atomically), which doubles
-as the resume state: completed cells are never retrained. Reports aggregate
-per-target transfer accuracies and compare similarity-ranked source
-selection against a random-selection baseline.
+each pretrained model is fine-tuned on every other target. Each cell's
+result or error, with the run's provenance, lands in one JSON file, which
+doubles as the resume state: completed cells are never retrained. Reports
+aggregate per-target transfer accuracies and compare similarity-ranked
+source selection against a random-selection baseline.
 """
 
 from __future__ import annotations
@@ -207,9 +207,11 @@ def _dataset_digest(dataset: Dataset) -> str:
 
 
 def _slug(name: str) -> str:
-    # Injective file-name encoding; '_' is escaped so the '__' separator
-    # between source and target cannot be forged by a dataset name.
-    return re.sub(r"[^A-Za-z0-9.-]", lambda m: f"%{ord(m.group(0)):02X}", name)
+    # Injective file-name encoding: each UTF-8 byte of a character outside
+    # [A-Za-z0-9.-], '%' and '_' too, becomes %XX, so neither an escape nor
+    # the '__' separator between source and target can be forged by a name.
+    return re.sub(r"[^A-Za-z0-9.-]", lambda m: "".join(
+        f"%{b:02X}" for b in m.group(0).encode("utf-8", "surrogatepass")), name)
 
 
 def _cell_path(out_dir, source: str, target: str) -> str:
@@ -224,23 +226,22 @@ def run_matrix(
 ) -> VariationMatrix:
     """Run every off-diagonal (source, target) cell, with resume and isolation.
 
-    When out_dir is given, each completed cell is written atomically to
-    `cells/<source>__<target>.json`, so an interrupted run resumes for free.
-    Every record carries what its results depend on: the seeds, the
-    TrainConfig fields but the unused `seed`, the dtype training computes
-    in, the version of its numerics (`fcn.NUMERICS_VERSION`) and SHA-256
-    digests of the source and target contents. An existing cell file is
-    reused only when all of them match this run; a cell file that is not a
-    JSON object is stale too.
+    When out_dir is given, each cell is written atomically, mode 0o666 less
+    the umask, to `cells/<source>__<target>.json`: its result, or if it
+    failed {"source", "target", "error"}. Either record carries what the
+    cell depends on: the seeds, the TrainConfig fields but the unused
+    `seed`, the dtype training computes in, the version of its numerics
+    (`fcn.NUMERICS_VERSION`) and SHA-256 digests of the source and target
+    contents. A resume reuses a result only when all of them match this
+    run; a failure, or a cell file that is not a JSON object, is stale.
     Stale cells are recomputed in two phases: phase 1 trains one scratch
     model per (dataset, seed) of those cells and evaluates each target's
     baseline once per seed, then phase 2 runs `run_pair` per cell and seed
     on those results, the same as a lone `run_pair`'s. A cell whose phase-1
     work failed records the first such failure (seeds in order; then the
     target's training, the source's, the target's baseline) before any
-    fine-tune. A failing cell is recorded and marked on disk (its stale
-    result file removed) without stopping the run. Cells run one after
-    another, in order.
+    fine-tune. A failing cell is recorded, its file replaced by the failure
+    record, without stopping the run. Cells run one after another, in order.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -274,7 +275,8 @@ def run_matrix(
                 record = _read_record(path)
             except DataValidationError:
                 record = {}
-            if all(record.get(k) == v for k, v in provenance(s, t).items()):
+            matches = (record.get(k) == v for k, v in provenance(s, t).items())
+            if "error" not in record and all(matches):
                 matrix.cells[(s, t)] = record
                 continue
         todo.append((s, t, path))
@@ -304,15 +306,12 @@ def run_matrix(
                 for seed, values in zip(seeds, phase1, strict=True)
             ], provenance(s, t))
             matrix.cells[(s, t)] = record
-            written, stale = "", ".failed"
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            record = {"source": s, "target": t, "error": f"{type(exc).__name__}: {exc}"}
-            matrix.failures[(s, t)] = record["error"]
-            written, stale = ".failed", ""
+            error = f"{type(exc).__name__}: {exc}"
+            record = {"source": s, "target": t, "error": error, **provenance(s, t)}
+            matrix.failures[(s, t)] = error
         if path is not None:
-            dump_json_17g(record, path + written)
-            if os.path.exists(path + stale):
-                os.unlink(path + stale)
+            dump_json_17g(record, path)
     return matrix
 
 
@@ -333,10 +332,11 @@ _CELL_FIELDS = {
 _FAILED_FIELDS = {key: _CELL_FIELDS["source"] for key in ("source", "target", "error")}
 
 
-def _read_record(path, fields=_CELL_FIELDS) -> dict:
-    """A cell file's JSON object holding `fields`, each passing its check.
+def _read_record(path) -> dict:
+    """A cell file's JSON object, each field passing its check.
 
-    DataValidationError naming the file otherwise.
+    A failure has an "error" key and holds `_FAILED_FIELDS`; a result holds
+    `_CELL_FIELDS`. DataValidationError naming the file otherwise.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -347,6 +347,7 @@ def _read_record(path, fields=_CELL_FIELDS) -> dict:
         raise DataValidationError(
             f"{path}: a cell file holds a JSON object, not {type(record).__name__}"
         )
+    fields = _FAILED_FIELDS if "error" in record else _CELL_FIELDS
     missing = [key for key in fields if key not in record]
     if missing:
         raise DataValidationError(f"{path}: cell file lacks the keys {missing}")
@@ -359,7 +360,8 @@ def _read_record(path, fields=_CELL_FIELDS) -> dict:
 def load_matrix_results(out_dir) -> VariationMatrix:
     """Rebuild a VariationMatrix from a results directory written by run_matrix.
 
-    All cell records must come from one run: the same seeds, the same
+    Each `cells/*.json` file holds one cell: a failure if it has an "error"
+    key. All of them must come from one run: the same seeds, the same
     TrainConfig, the same training dtype and numerics version and, per
     dataset name, the same content digest. A resumed run that changed any of
     them overwrites only its own cells, so a mix is refused with a
@@ -367,31 +369,27 @@ def load_matrix_results(out_dir) -> VariationMatrix:
     not a JSON object, lacks a field that `report` reads or holds a bad value
     there (`source`, `target` and a failure's `error` strings, accuracies
     numbers in [0, 1], `variation_percent` a finite number or null) raises
-    DataValidationError naming the file; so does a cell both completed and
-    failed. `names` holds every dataset of a completed or failed cell.
+    DataValidationError naming the file; two files holding one cell, naming
+    both. `names` holds every dataset of a completed or failed cell.
     """
     cells_dir = os.path.join(out_dir, "cells")
     if not os.path.isdir(cells_dir):
         raise FileNotFoundError(f"no cells directory under {out_dir!r}")
-    cells: dict[tuple[str, str], dict] = {}
-    failures: dict[tuple[str, str], str] = {}
-    seen: set[str] = set()
-    for fname in sorted(os.listdir(cells_dir)):
-        path = os.path.join(cells_dir, fname)
-        if fname.endswith(".json.failed"):
-            record = _read_record(path, _FAILED_FIELDS)
-            failures[(record["source"], record["target"])] = record["error"]
-        elif fname.endswith(".json"):
-            record = _read_record(path)
-            cells[(record["source"], record["target"])] = record
-        else:
-            continue
-        seen.update((record["source"], record["target"]))
-    both = sorted(cells.keys() & failures.keys())
-    if both:
-        raise DataValidationError(f"{out_dir}: cell {both[0]} completed and failed")
-    _check_one_run(cells, out_dir)
-    return VariationMatrix(names=tuple(sorted(seen)), cells=cells, failures=failures)
+    records, files = {}, {}  # cell -> its record, and the file that holds it
+    for fname in sorted(f for f in os.listdir(cells_dir) if f.endswith(".json")):
+        record = _read_record(os.path.join(cells_dir, fname))
+        cell = (record["source"], record["target"])
+        if cell in files:
+            raise DataValidationError(
+                f"{out_dir}: cell {cell} is held by both {files[cell]} and {fname}"
+            )
+        records[cell], files[cell] = record, fname
+    _check_one_run(records, out_dir)
+    return VariationMatrix(
+        names=tuple(sorted({name for cell in records for name in cell})),
+        cells={cell: r for cell, r in records.items() if "error" not in r},
+        failures={cell: r["error"] for cell, r in records.items() if "error" in r},
+    )
 
 
 def _check_one_run(cells: dict, out_dir) -> None:

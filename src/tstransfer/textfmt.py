@@ -4,7 +4,8 @@ Floats are printed with 17 significant digits everywhere so that every
 emitted value round-trips to the exact same float64 on re-parse. The JSON
 writer is hand-rolled because the stdlib encoder always prints the shortest
 repr for floats. Every file is written atomically, so a writer that fails
-midway leaves the previous file in place.
+midway leaves the previous file in place, with the mode a plain `open`
+would give it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import io
 import json
 import numbers
 import os
-import tempfile
 
 __all__ = ["fmt17", "dump_json_17g", "dump_csv_17g", "atomic_write_bytes"]
 
@@ -81,9 +81,14 @@ def dump_csv_17g(rows, path) -> None:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file atomically: temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write a file atomically: temp file in the same directory, then rename.
+
+    The file gets the mode a plain `open(path, "wb")` would give it: the
+    temp file is created with 0o666, which the system masks by the umask.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import json
+import re
+import urllib.parse
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -196,12 +199,13 @@ class TestRunMatrix:
         assert ("B", "A") in matrix.cells
         assert ("A", "B") in matrix.failures
         assert "injected failure" in matrix.failures[("A", "B")]
-        # failed marker on disk, retried on the next run
-        assert list((out / "cells").glob("*.failed"))
+        # the error is the cell's record on disk, retried on the next run
+        path = out / "cells" / "A__B.json"
+        assert json.loads(path.read_text())["error"] == matrix.failures[("A", "B")]
         monkeypatch.setattr(harness, "run_pair", real)
         retried = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
         assert not retried.failures
-        assert not list((out / "cells").glob("*.failed"))
+        assert "error" not in json.loads(path.read_text())
 
     def test_run_trains_each_scratch_model_once(self, monkeypatch):
         datasets = tiny_datasets(3)
@@ -262,7 +266,11 @@ class TestRunMatrix:
         rerun = run_matrix(datasets, TrainConfig(epochs=2, batch_size=8), out_dir=out)
         assert set(rerun.failures) == {("A", "B"), ("B", "A")}
         files = sorted(p.name for p in (out / "cells").iterdir())
-        assert files == ["A__B.json.failed", "B__A.json.failed"]
+        assert files == ["A__B.json", "B__A.json"]
+        for name in files:
+            record = json.loads((out / "cells" / name).read_text())
+            assert record["error"] == "RuntimeError: injected failure"
+            assert record["config"]["epochs"] == 2
         loaded = load_matrix_results(out)
         assert loaded.cells == {} and loaded.failures == rerun.failures
 
@@ -283,12 +291,25 @@ class TestRunMatrix:
         assert [row[3] for row in rows[1:]] == ["", "", ""]
         assert rows[3] == ["C", "", "", ""]
 
-    def test_load_refuses_a_cell_that_completed_and_failed(self, tmp_path):
+    def test_load_refuses_two_files_that_hold_one_cell(self, tmp_path):
         out = tmp_path / "both"
         run_matrix(tiny_datasets(2), FAST, out_dir=out)
-        marker = {"source": "A", "target": "B", "error": "RuntimeError: x"}
-        (out / "cells" / "A__B.json.failed").write_text(json.dumps(marker))
-        with pytest.raises(DataValidationError, match="completed and failed"):
+        cells = out / "cells"
+        (cells / "copy.json").write_bytes((cells / "A__B.json").read_bytes())
+        held = r"\('A', 'B'\) is held by both A__B\.json and copy\.json"
+        with pytest.raises(DataValidationError, match=held):
+            load_matrix_results(out)
+
+    def test_load_refuses_failures_of_another_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "mixed"
+        record_calls(monkeypatch, harness, "run_pair",
+                     fail=lambda a: "C" in (a["source"].name, a["target"].name))
+        run_matrix(tiny_datasets(3), TrainConfig(epochs=1, batch_size=8), out_dir=out)
+        monkeypatch.undo()
+        run_matrix(tiny_datasets(2), TrainConfig(epochs=3, batch_size=8), seeds=[7],
+                   out_dir=out)
+        mixed = r"cells \('A', 'B'\) and \('A', 'C'\) disagree on seeds"
+        with pytest.raises(DataValidationError, match=mixed):
             load_matrix_results(out)
 
     def test_resume_recomputes_cells_of_another_run(self, tmp_path):
@@ -350,19 +371,28 @@ class TestRunMatrix:
     @pytest.mark.parametrize(
         "fname, key",
         [("A__B.json", "source"), ("A__B.json", "target"),
-         ("A__B.json.failed", "error"), ("A__B.json", "baseline_accuracy"),
+         ("A__B.json", "baseline_accuracy"),
          ("A__B.json", "transfer_accuracy"), ("A__B.json", "variation_percent")],
     )
     def test_load_names_a_cell_file_without_a_key(self, tmp_path, fname, key):
         out = tmp_path / "keys"
         run_matrix(tiny_datasets(2), FAST, seeds=[0], out_dir=out)
         path = out / "cells" / fname
-        record = {"source": "A", "target": "B", "error": "ValueError: x"}
-        if path.exists():
-            record = json.loads(path.read_text())
+        record = json.loads(path.read_text())
         del record[key]
         path.write_text(json.dumps(record))
         with pytest.raises(DataValidationError, match=rf"{fname}: .*'{key}'"):
+            load_matrix_results(out)
+
+    def test_load_names_a_failure_record_whose_error_is_not_a_string(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "keys"
+        record_calls(monkeypatch, harness, "fine_tune", fail=lambda a: True)
+        run_matrix(tiny_datasets(2), FAST, seeds=[0], out_dir=out)
+        path = out / "cells" / "A__B.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "error": 1}))
+        with pytest.raises(DataValidationError, match=r"A__B\.json: .*'error'"):
             load_matrix_results(out)
 
     @pytest.mark.parametrize("value", ["0.5", 1.5, True, float("nan")])
@@ -455,8 +485,8 @@ class TestRunMatrix:
         assert set(matrix.failures) == {("A", "H"), ("B", "H"), ("H", "A"), ("H", "B")}
         for (s, t), error in matrix.failures.items():
             assert error.startswith("ValueError: train: no epoch")
-            marker = json.loads((out / "cells" / f"{s}__{t}.json.failed").read_text())
-            assert marker["error"] == error
+            record = json.loads((out / "cells" / f"{s}__{t}.json").read_text())
+            assert record["error"] == error
         assert len(set(matrix.failures.values())) == 1
 
     def test_a_target_without_test_series_costs_no_fine_tune(self, monkeypatch):
@@ -600,6 +630,81 @@ class TestRunMatrix:
         m2 = run_matrix(list(reversed(datasets)), FAST, seeds=[0])
         assert m2.names == tuple(reversed(m1.names))
         assert m1.cells == m2.cells
+
+
+def fail_calls(monkeypatch, name, indices):
+    """Make the k-th call of `harness.<name>` raise, for each k in indices."""
+    log = []
+    record_calls(monkeypatch, harness, name, log, fail=lambda a: len(log) - 1 in indices)
+
+
+def interrupt_after_write(monkeypatch, k):
+    """Raise KeyboardInterrupt right after run_matrix's k-th file write."""
+    real, writes = harness.dump_json_17g, []
+
+    def dump(obj, path):
+        real(obj, path)
+        writes.append(path)
+        if len(writes) == k:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "dump_json_17g", dump)
+
+
+def named(datasets, names):
+    return [Dataset(name=name, train=d.train, test=d.test, class_count=d.class_count)
+            for d, name in zip(datasets, names)]
+
+
+class TestResultsDirectory:
+    @settings(max_examples=40, deadline=None)
+    @given(failing=st.sets(st.integers(0, 5)), rerun_failing=st.sets(st.integers(0, 5)),
+           rerun_seed=st.sampled_from([0, 1]), k=st.integers(1, 6))
+    def test_a_clean_run_after_an_interrupted_rerun_loads_as_itself(
+        self, tmp_path_factory, failing, rerun_failing, rerun_seed, k
+    ):
+        datasets, config = tiny_datasets(3), TrainConfig(epochs=0, batch_size=8)
+        out = tmp_path_factory.mktemp("res")
+        with pytest.MonkeyPatch.context() as mp:
+            fail_calls(mp, "fine_tune", failing)
+            run_matrix(datasets, config, out_dir=out)
+        with pytest.MonkeyPatch.context() as mp, contextlib.suppress(KeyboardInterrupt):
+            fail_calls(mp, "fine_tune", rerun_failing)
+            interrupt_after_write(mp, k)
+            run_matrix(datasets, config, seeds=[rerun_seed], out_dir=out)
+        clean = run_matrix(datasets, config, seeds=[rerun_seed], out_dir=out)
+        assert len(clean.cells) == 6 and not clean.failures
+        assert load_matrix_results(out) == clean
+        assert all(p.suffix == ".json" for p in (out / "cells").iterdir())
+
+    def test_names_that_escaped_alike_get_their_own_files(self, tmp_path, monkeypatch):
+        # '\u2541' was escaped as %2541, the escape of '%' followed by "41"
+        datasets = named(tiny_datasets(3), ["\u2541", "%41", "X"])
+        out = tmp_path / "res"
+        matrix = run_matrix(datasets, FAST, out_dir=out)
+        assert len(matrix.cells) == 6
+        assert len({p.name for p in (out / "cells").iterdir()}) == 6
+        computed = record_calls(monkeypatch, harness, "run_pair")
+        assert run_matrix(datasets, FAST, out_dir=out).cells == matrix.cells
+        assert cells_of(computed) == []
+        assert load_matrix_results(out).cells == matrix.cells
+
+    def test_a_file_of_the_older_escape_is_a_second_holder(self, tmp_path):
+        # Older versions escaped a character by its code point alone.
+        out = tmp_path / "res"
+        run_matrix(named(tiny_datasets(2), ["\u00e9", "B"]), FAST, out_dir=out)
+        cells = out / "cells"
+        (cells / "%E9__B.json").write_bytes((cells / "%C3%A9__B.json").read_bytes())
+        with pytest.raises(DataValidationError, match=r"both %C3%A9__B\.json and %E9__B"):
+            load_matrix_results(out)
+
+    # Lone surrogates included: Python decodes undecodable argv bytes to them.
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters(exclude_categories=()), min_size=1))
+    def test_slug_decodes_back_to_the_name(self, name):
+        slug = harness._slug(name)
+        assert re.fullmatch(r"[A-Za-z0-9.%-]+", slug)
+        assert urllib.parse.unquote(slug, errors="surrogatepass") == name
 
 
 class TestAggregate:

@@ -1,8 +1,13 @@
 import ast
 import importlib
+import os
 import pathlib
+import stat
+
+import pytest
 
 import tstransfer
+from tstransfer.textfmt import atomic_write_bytes
 
 PACKAGE = pathlib.Path(tstransfer.__file__).parent
 
@@ -48,3 +53,17 @@ def test_every_exception_of_the_package_is_a_value_error():
             if issubclass(cls, BaseException) and not issubclass(cls, ValueError):
                 found.append(f"{path.name}:{node.name}")
     assert found == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_a_written_file_gets_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "atomic", b"x")
+        with open(tmp_path / "plain", "wb") as fh:
+            fh.write(b"x")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / f).st_mode) for f in ("atomic", "plain")]
+    assert modes == [0o666 & ~umask] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
