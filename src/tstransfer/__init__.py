@@ -18,7 +18,7 @@ from .core import (
     save_ucr_dataset,
     z_normalize,
 )
-from .dba import DbaConfig, dba_average, dba_averages, dba_iteration
+from .dba import dba_average, dba_averages, dba_iteration
 from .dtw import dtw_distance, dtw_path, medoid, pairwise_dtw_matrix
 from .fcn import (
     AdamState,

@@ -9,7 +9,6 @@ import sys
 import time
 
 from .core import Dataset, check_count, find_ucr_pair, load_ucr_dataset
-from .dba import DbaConfig
 from .fcn import TrainConfig, evaluate
 from .harness import (
     _fine_tune_run,
@@ -90,7 +89,7 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_similarity(args) -> int:
     datasets = _load_datasets(args)
-    matrix = similarity_matrix(datasets, args.dba_config)
+    matrix = similarity_matrix(datasets)
     write_matrix_csv(matrix, args.out)
     print(f"wrote {len(datasets)}x{len(datasets)} similarity matrix to {args.out}")
     return 0
@@ -169,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--datasets", required=True, help="comma-separated dataset names")
     p.add_argument("--out", required=True, help="matrix CSV path")
-    p.add_argument(
-        "--dba-iters", type=int, default=DbaConfig().iterations,
-        help="DBA refinement steps per class prototype (default %(default)s); steps "
-        "after a fixed point are skipped, which leaves the result unchanged",
-    )
     p.set_defaults(func=_cmd_similarity)
 
     p = sub.add_parser("rank", help="rank candidate sources for a target dataset")
@@ -202,12 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Training and DBA settings, the seed count and every output's
-        # directory are checked before a command loads or computes anything.
+        # Training settings, the seed count and every output's directory
+        # are checked before a command loads or computes anything.
         if "lr" in args:
             args.config = _train_config(args)
-        if "dba_iters" in args:
-            args.dba_config = DbaConfig(iterations=args.dba_iters)
         if "seeds" in args:
             check_count("seeds", args.seeds, 1)
         for out in (getattr(args, "out", None), getattr(args, "aggregate_out", None)):

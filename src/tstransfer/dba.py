@@ -1,9 +1,10 @@
 """Barycenter averaging of a set of series under dynamic time warping.
 
-The prototype is refined iteratively: every member is aligned to the current
-prototype with an optimal warping path, each prototype coordinate collects
-the member samples aligned to it, and the coordinate is replaced by their
-arithmetic mean. The prototype keeps the medoid's length throughout.
+The prototype starts at the set's medoid and is refined for
+`DBA_ITERATIONS` steps: every member is aligned to the current prototype
+with an optimal warping path, each prototype coordinate collects the member
+samples aligned to it, and the coordinate is replaced by their arithmetic
+mean. The prototype keeps the medoid's length throughout.
 
 `dba_averages` refines the prototypes of several groups, such as the
 classes of a dataset, together: each step aligns every member of every
@@ -14,28 +15,15 @@ the bits of `dba_average` on its group alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import as_series, check_count
+from .core import as_series
 from .dtw import _paths, medoid
 
-__all__ = ["DbaConfig", "dba_iteration", "dba_average", "dba_averages"]
+__all__ = ["DBA_ITERATIONS", "dba_iteration", "dba_average", "dba_averages"]
 
-
-@dataclass(frozen=True)
-class DbaConfig:
-    """Number of refinement iterations applied after medoid initialization.
-
-    The result is always that of exactly this many steps; `dba_average`
-    skips the steps after a fixed point, which return the same bits.
-    """
-
-    iterations: int = 10
-
-    def __post_init__(self):
-        check_count("iterations", self.iterations, 1)
+# Refinement steps after medoid initialization, as in the method.
+DBA_ITERATIONS = 10
 
 
 def _step(groups) -> list[np.ndarray]:
@@ -101,8 +89,8 @@ def _refine(groups: list[list[np.ndarray]], iterations: int) -> list[np.ndarray]
     return protos
 
 
-def dba_averages(groups, config: DbaConfig = DbaConfig()) -> list[np.ndarray]:
-    """`[dba_average(members, config) for members in groups]`, stepped together.
+def dba_averages(groups) -> list[np.ndarray]:
+    """`[dba_average(members) for members in groups]`, stepped together.
 
     Members are checked once, and every step aligns the members of all
     groups that have not reached their fixed point in one batch.
@@ -114,17 +102,17 @@ def dba_averages(groups, config: DbaConfig = DbaConfig()) -> list[np.ndarray]:
     for g, members in enumerate(groups):
         if not members:
             raise ValueError(f"dba_averages: group {g} has no members")
-    return _refine(groups, config.iterations)
+    return _refine(groups, DBA_ITERATIONS)
 
 
-def dba_average(members, config: DbaConfig = DbaConfig()) -> np.ndarray:
+def dba_average(members) -> np.ndarray:
     """Average a non-empty set of series in the warping-induced space.
 
     Initializes the prototype to the set's medoid and returns the result of
-    exactly config.iterations refinement steps; steps after a fixed point
-    are skipped (see `dba_averages`).
+    exactly `DBA_ITERATIONS` refinement steps; the steps after a fixed point,
+    which return the same bits, are skipped (see `_refine`).
     """
     members = [as_series(m, f"dba: members[{k}]") for k, m in enumerate(members)]
     if not members:
         raise ValueError("dba_average: empty member set")
-    return _refine([members], config.iterations)[0]
+    return _refine([members], DBA_ITERATIONS)[0]

@@ -149,9 +149,10 @@ class TrainConfig:
     """The training schedule and seed; defaults are the standard recipe.
 
     Adam's other settings are the fixed ADAM_BETA1, ADAM_BETA2 and
-    ADAM_EPSILON. epochs and batch_size are integers, not bools; epochs = 0
-    is allowed as an explicit no-op boundary. The learning rate must be a
-    finite positive real number.
+    ADAM_EPSILON. epochs, batch_size and seed are integers, not bools;
+    epochs = 0 is allowed as an explicit no-op boundary, and seed is >= 0,
+    as numpy's `default_rng` needs. The learning rate must be a finite
+    positive real number.
     """
 
     epochs: int = 2000
@@ -162,6 +163,7 @@ class TrainConfig:
     def __post_init__(self):
         check_count("epochs", self.epochs, 0)
         check_count("batch_size", self.batch_size, 1)
+        check_count("seed", self.seed, 0)
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
             raise ValueError(f"learning_rate must be a real number, got {lr!r}")

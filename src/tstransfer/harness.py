@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import re
 import statistics
@@ -226,6 +227,9 @@ def run_matrix(
 ) -> VariationMatrix:
     """Run every off-diagonal (source, target) cell, with resume and isolation.
 
+    `seeds` are distinct integers of any sign, labels that `derive_seed`
+    hashes; each cell runs once per seed.
+
     When out_dir is given, each cell is written atomically, mode 0o666 less
     the umask, to `cells/<source>__<target>.json`: its result, or if it
     failed {"source", "target", "error"}. Either record carries what the
@@ -252,6 +256,12 @@ def run_matrix(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_matrix: need at least one seed")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"run_matrix: seeds must be integers, got {seed!r}")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ValueError(f"run_matrix: repeated seeds {repeated}")
     by_name = {d.name: d for d in datasets}
     digests = {d.name: _dataset_digest(d) for d in datasets}
     matrix = VariationMatrix(names=tuple(names))

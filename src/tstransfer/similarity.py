@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DataValidationError, Dataset, group_by_class, parse_decimals
-from .dba import DbaConfig, dba_averages
+from .dba import dba_averages
 from .dtw import dtw_distance
 from .textfmt import dump_csv_17g, dump_json_17g
 
@@ -98,14 +98,14 @@ class SourceRanking:
         return self.ranked[rank - 1][0]
 
 
-def reduce_dataset(dataset: Dataset, config: DbaConfig = DbaConfig()) -> ClassPrototypes:
+def reduce_dataset(dataset: Dataset) -> ClassPrototypes:
     """Collapse a dataset's train split to one prototype per class.
 
     Only train data participates; the test split is never touched.
     """
     groups = group_by_class(dataset.train)
     classes = range(dataset.class_count)
-    prototypes = dict(zip(classes, dba_averages([groups[c] for c in classes], config)))
+    prototypes = dict(zip(classes, dba_averages([groups[c] for c in classes])))
     return ClassPrototypes(dataset_name=dataset.name, prototypes=prototypes)
 
 
@@ -115,9 +115,7 @@ def dataset_distance(a: ClassPrototypes, b: ClassPrototypes) -> float:
                for ca in sorted(a.prototypes) for cb in sorted(b.prototypes))
 
 
-def similarity_matrix(
-    datasets, config: DbaConfig = DbaConfig()
-) -> SimilarityMatrix:
+def similarity_matrix(datasets) -> SimilarityMatrix:
     """Distance matrix over a list of datasets, each reduced exactly once."""
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -125,7 +123,7 @@ def similarity_matrix(
     names = [d.name for d in datasets]
     if len(set(names)) != len(names):
         raise DataValidationError(f"duplicate dataset names: {sorted(names)}")
-    reduced = [reduce_dataset(d, config) for d in datasets]
+    reduced = [reduce_dataset(d) for d in datasets]
     n = len(datasets)
     values = np.zeros((n, n))
     for i in range(n):

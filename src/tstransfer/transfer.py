@@ -45,7 +45,8 @@ _PAYLOAD_DTYPE = "<f4"
 
 
 class ModelFileError(ValueError):
-    """A model file is malformed; the message names its path."""
+    """A model file is malformed, or a model cannot be saved as one that
+    loads; the message names the file's path."""
 
 
 def _header(filters, class_count: int) -> dict:
@@ -64,20 +65,36 @@ def _header(filters, class_count: int) -> dict:
     }
 
 
+def _check_tensors(arrays: dict, path) -> None:
+    """ModelFileError unless every value of the float32 tensors is finite
+    and every running variance positive, as a loaded model needs."""
+    for i in (1, 2, 3):
+        if (arrays[f"bn{i}.running_var"] <= 0).any():
+            raise ModelFileError(f"{path}: bn{i} running variance must be positive")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ModelFileError(f"{path}: tensor {name} contains non-finite values")
+
+
 def save_model(model: FcnModel, path) -> None:
     """Serialize all 20 tensors (parameters plus running statistics).
 
-    The write is atomic: a temp file in the same directory is renamed over
-    the destination.
+    A model that would not load back, because a tensor rounds to a
+    non-finite float32 or a running variance to one <= 0, raises
+    ModelFileError and nothing is written. The write is atomic: a temp
+    file in the same directory is renamed over the destination.
     """
     header = _header(model.filters, model.class_count)
+    with np.errstate(over="ignore"):
+        arrays = {entry["name"]: model[entry["name"]].astype(_PAYLOAD_DTYPE)
+                  for entry in header["tensors"]}
+    _check_tensors(arrays, path)
     header_bytes = json.dumps(header).encode("utf-8")
     blob = (
         MODEL_MAGIC
         + len(header_bytes).to_bytes(8, "little")
         + header_bytes
-        + b"".join(model[entry["name"]].astype(_PAYLOAD_DTYPE).tobytes()
-                   for entry in header["tensors"])
+        + b"".join(arr.tobytes() for arr in arrays.values())
     )
     atomic_write_bytes(path, blob)
 
@@ -132,13 +149,7 @@ def load_model(path) -> FcnModel:
         entry["name"]: part.astype(np.float32).reshape(entry["shape"])
         for entry, part in zip(expected["tensors"], parts)
     }
-    for i in (1, 2, 3):
-        if (arrays[f"bn{i}.running_var"] <= 0).any():
-            raise ModelFileError(f"{path}: bn{i} running variance must be positive")
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise ModelFileError(f"{path}: tensor {name} contains non-finite values")
-
+    _check_tensors(arrays, path)
     return FcnModel(arrays)
 
 

@@ -21,7 +21,6 @@ from helpers import (
     make_sine_dataset,
 )
 from tstransfer import (
-    DbaConfig,
     Dataset,
     TrainConfig,
     build_model,
@@ -176,12 +175,11 @@ def test_criterion_3_dba_monotonicity():
 def test_criterion_4_similarity_matrix_structure():
     with criterion(4, "similarity matrix symmetric, zero-diagonal, train-only"):
         rng = np.random.default_rng(20240004)
-        config = DbaConfig(iterations=3)
         datasets = [
             make_random_dataset(name, rng, n_train=6, n_test=4, length=9)
             for name in ("a", "b", "c", "d")
         ]
-        matrix = similarity_matrix(datasets, config)
+        matrix = similarity_matrix(datasets)
         assert np.array_equal(matrix.values, matrix.values.T)
         assert np.array_equal(np.diag(matrix.values), np.zeros(4))
         assert np.isfinite(matrix.values).all() and (matrix.values >= 0).all()
@@ -190,11 +188,9 @@ def test_criterion_4_similarity_matrix_structure():
             Dataset(name=d.name, train=d.train, test=(), class_count=d.class_count)
             for d in datasets
         ]
-        assert np.array_equal(
-            similarity_matrix(stripped, config).values, matrix.values
-        )
+        assert np.array_equal(similarity_matrix(stripped).values, matrix.values)
 
-        reduced = [reduce_dataset(d, config) for d in datasets]
+        reduced = [reduce_dataset(d) for d in datasets]
         for i in range(4):
             for j in range(4):
                 expected = (
@@ -285,7 +281,7 @@ def e2e(tmp_path_factory):
     datasets = _e2e_datasets()
     by_name = {d.name: d for d in datasets}
 
-    sim = similarity_matrix(datasets, DbaConfig(iterations=10))
+    sim = similarity_matrix(datasets)
     target = by_name["A"]
     ranking = rank_sources(sim, target.name)
     source = by_name[ranking.source_at(1)]

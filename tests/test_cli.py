@@ -11,7 +11,6 @@ import tstransfer.cli as cli
 import tstransfer.harness as harness
 from helpers import make_sine_dataset, record_calls
 from tstransfer import (
-    DbaConfig,
     TrainConfig,
     evaluate,
     load_model,
@@ -156,29 +155,23 @@ class TestTrainAndTransfer:
         assert captured.err.startswith("error: learning_rate must be finite and positive")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, option, message", [
-        ("similarity", ["--dba-iters", "0"], "iterations must be >= 1, got 0"),
-        ("matrix", ["--seeds", "0"], "seeds must be >= 1, got 0"),
-    ], ids=["dba-iters", "seeds"])
+    @pytest.mark.parametrize("option, message", [
+        (["--seeds", "0"], "seeds must be >= 1, got 0"),
+    ], ids=["seeds"])
     def test_a_bad_count_fails_before_loading_data(
-        self, tmp_path, data_dir, capsys, monkeypatch, command, option, message
+        self, tmp_path, data_dir, capsys, monkeypatch, option, message
     ):
         # "Missing" has no files: the count is reported, not the missing file.
         def refuse(*args, **kwargs):
             raise AssertionError("loaded data before checking the count")
 
         monkeypatch.setattr(cli, "_load_dataset", refuse)
-        argv = {
-            "similarity": ["similarity", "--data", data_dir, "--datasets", "A,Missing",
-                           "--out", tmp_path / "m.csv"],
-            "matrix": ["matrix", "--data", data_dir, "--datasets", "A,Missing",
-                       "--out-dir", tmp_path / "out", "--epochs", "1"],
-        }[command]
-        assert run([*argv, *option]) == 2
+        assert run(["matrix", "--data", data_dir, "--datasets", "A,Missing",
+                    "--out-dir", tmp_path / "out", "--epochs", "1", *option]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_bad_model_file_is_reported(self, tmp_path, data_dir, capsys):
         bad = tmp_path / "bad.fcn"
@@ -257,7 +250,7 @@ class TestSimilarityRankPipeline:
     def test_similarity_then_rank(self, tmp_path, data_dir):
         matrix_path = tmp_path / "matrix.csv"
         rc = run(["similarity", "--data", data_dir, "--datasets", "A,B,C",
-                  "--out", matrix_path, "--dba-iters", "3"])
+                  "--out", matrix_path])
         assert rc == 0
         rows = list(csv.reader(matrix_path.read_text().splitlines()))
         assert rows[0] == ["", "A", "B", "C"]
@@ -276,25 +269,28 @@ class TestSimilarityRankPipeline:
     def test_unknown_target_is_reported_without_quotes(self, tmp_path, data_dir, capsys):
         matrix_path = tmp_path / "matrix.csv"
         assert run(["similarity", "--data", data_dir, "--datasets", "A,B",
-                    "--out", matrix_path, "--dba-iters", "1"]) == 0
+                    "--out", matrix_path]) == 0
         capsys.readouterr()
         assert run(["rank", "--matrix", matrix_path, "--target", "Z",
                     "--out", tmp_path / "r.json"]) == 2
         assert capsys.readouterr().err == "error: unknown target dataset 'Z'\n"
         assert not (tmp_path / "r.json").exists()
 
-    def test_dba_iterations_default_is_the_dba_config_default(self):
-        args = build_parser().parse_args(
-            ["similarity", "--data", "D", "--datasets", "A,B", "--out", "m.csv"]
-        )
-        assert DbaConfig(iterations=args.dba_iters) == DbaConfig()
+    def test_dba_iters_is_an_unknown_option(self, tmp_path, data_dir, capsys):
+        matrix_path = tmp_path / "matrix.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["similarity", "--data", data_dir, "--datasets", "A,B",
+                 "--out", matrix_path, "--dba-iters", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dba-iters 3" in capsys.readouterr().err
+        assert not matrix_path.exists()
 
 
 class TestMatrixReportPipeline:
     def test_full_pipeline(self, tmp_path, data_dir):
         matrix_path = tmp_path / "matrix.csv"
         assert run(["similarity", "--data", data_dir, "--datasets", "A,B,C",
-                    "--out", matrix_path, "--dba-iters", "2"]) == 0
+                    "--out", matrix_path]) == 0
 
         results = tmp_path / "results"
         rc = run(["matrix", "--data", data_dir, "--datasets", "A,B,C",
@@ -323,7 +319,7 @@ class TestMatrixReportPipeline:
     ):
         matrix_path = tmp_path / "matrix.csv"
         assert run(["similarity", "--data", data_dir, "--datasets", "A,B,C",
-                    "--out", matrix_path, "--dba-iters", "2"]) == 0
+                    "--out", matrix_path]) == 0
         record_calls(monkeypatch, harness, "run_pair",
                      fail=lambda a: "C" in (a["source"].name, a["target"].name))
         results = tmp_path / "results"
@@ -348,7 +344,7 @@ class TestMatrixReportPipeline:
                          delimiter="\t")
         matrix_path = tmp_path / "matrix.csv"
         assert run(["similarity", "--data", data_dir, "--datasets", "A,B,C,D",
-                    "--out", matrix_path, "--dba-iters", "2"]) == 0
+                    "--out", matrix_path]) == 0
         results = tmp_path / "results"
         assert run(["matrix", "--data", data_dir, "--datasets", "A,B,C",
                     "--out-dir", results, "--epochs", "1", "--batch", "8"]) == 0

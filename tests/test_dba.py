@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import tstransfer.dba as dba
 from helpers import dba_iteration_reference, reference_and_members
 from tstransfer import (
-    DbaConfig,
+    as_series,
     dba_average,
     dba_averages,
     dba_iteration,
@@ -19,18 +19,17 @@ def within_set_cost(prototype, members):
     return sum(dtw_distance(prototype, m) for m in members)
 
 
-class TestDbaConfig:
-    def test_default_iterations(self):
-        assert DbaConfig().iterations == 10
+def refine(groups, k):
+    """The prototypes after `k` steps from each group's medoid, via `dba._refine`."""
+    return dba._refine([[as_series(m) for m in members] for members in groups], k)
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            DbaConfig(iterations=0)
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
-    def test_rejects_a_count_that_is_not_an_integer(self, value):
-        with pytest.raises(ValueError, match="^iterations must be an integer, got"):
-            DbaConfig(iterations=value)
+def reference_steps(members, k):
+    """`k` steps of `dba_iteration_reference` from the members' medoid."""
+    proto = np.array(members[medoid(members)], dtype=np.float64)
+    for _ in range(k):
+        proto = dba_iteration_reference(proto, members)
+    return proto
 
 
 class TestDbaIteration:
@@ -79,12 +78,12 @@ class TestDbaAverage:
 
     def test_identical_members_fixed_point(self):
         s = np.array([0.1, 0.2, 0.4])
-        out = dba_average([s, s.copy(), s.copy(), s.copy()], DbaConfig(iterations=7))
+        out = dba_average([s, s.copy(), s.copy(), s.copy()])
         assert np.array_equal(out, s)
 
     def test_beats_medoid_on_three_member_example(self):
         members = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([10.0, 10.0])]
-        proto = dba_average(members, DbaConfig(iterations=10))
+        proto = dba_average(members)
         assert len(proto) == 2
         assert within_set_cost(proto, members) <= 164.0
 
@@ -111,7 +110,7 @@ class TestDbaAverage:
         proto = np.array(members[medoid(members)])
         for _ in range(4):
             proto = dba_iteration(proto, members)
-        assert np.array_equal(dba_average(members, DbaConfig(iterations=4)), proto)
+        assert np.array_equal(refine([members], 4)[0], proto)
 
     @settings(max_examples=100, deadline=None)
     @given(reference_and_members(max_len=24), st.integers(1, 12))
@@ -123,7 +122,7 @@ class TestDbaAverage:
         proto = np.array(members[medoid(members)], dtype=np.float64)
         for _ in range(k):
             proto = dba_iteration(proto, members)
-        assert dba_average(members, DbaConfig(k)).tobytes() == proto.tobytes()
+        assert refine([members], k)[0].tobytes() == proto.tobytes()
 
     def test_near_fixed_point_keeps_stepping(self):
         # The first step moves the last coordinate by 2.5e-8 only, and the
@@ -133,8 +132,8 @@ class TestDbaAverage:
         one = dba_iteration(members[1], members)
         assert np.allclose(one, members[1], rtol=1e-7) and not np.array_equal(one, members[1])
         two = dba_iteration(one, members)
-        assert np.array_equal(dba_average(members, DbaConfig(1)), one)
-        assert dba_average(members, DbaConfig(2)).tobytes() == two.tobytes()
+        assert np.array_equal(refine([members], 1)[0], one)
+        assert refine([members], 2)[0].tobytes() == two.tobytes()
 
     def test_identical_members_run_one_step(self, monkeypatch):
         calls = []
@@ -146,15 +145,15 @@ class TestDbaAverage:
 
         monkeypatch.setattr(dba, "_step", counting)
         s = np.array([0.3, -1.1, 0.8, 0.8])
-        out = dba_average([s, s.copy(), s.copy()], DbaConfig(iterations=10))
+        out = dba_average([s, s.copy(), s.copy()])
         assert np.array_equal(out, s)
         assert len(calls) == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         members = [rng.standard_normal(rng.integers(2, 12)) for _ in range(6)]
-        a = dba_average(members, DbaConfig(iterations=5))
-        b = dba_average(members, DbaConfig(iterations=5))
+        a = dba_average(members)
+        b = dba_average(members)
         assert np.array_equal(a, b)
 
     def test_rejects_empty(self):
@@ -166,6 +165,22 @@ class TestDbaAverage:
             dba_average([np.zeros(2), np.array([np.nan])])
 
 
+class TestSchedule:
+    def test_is_the_methods_ten_steps(self):
+        assert dba.DBA_ITERATIONS == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(reference_and_members(max_len=16), min_size=1, max_size=3))
+    def test_public_entry_points_run_dba_iterations_reference_steps(self, cases):
+        # Integer groups often reach their fixed points early; float groups
+        # mostly run every step.
+        groups = [[reference] + members for reference, members in cases]
+        expected = [reference_steps(members, dba.DBA_ITERATIONS).tobytes()
+                    for members in groups]
+        assert [dba_average(members).tobytes() for members in groups] == expected
+        assert [proto.tobytes() for proto in dba_averages(groups)] == expected
+
+
 class TestDbaAverages:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(reference_and_members(max_len=16), min_size=1, max_size=4),
@@ -174,13 +189,10 @@ class TestDbaAverages:
         # Each group draws its own sample kind: integer groups often reach
         # their fixed points within a few steps, float groups rarely do.
         groups = [[reference] + members for reference, members in cases]
-        out = dba_averages(groups, DbaConfig(k))
+        out = refine(groups, k)
         assert len(out) == len(groups)
         for members, got in zip(groups, out):
-            proto = np.array(members[medoid(members)], dtype=np.float64)
-            for _ in range(k):
-                proto = dba_iteration_reference(proto, members)
-            assert got.tobytes() == proto.tobytes()
+            assert got.tobytes() == reference_steps(members, k).tobytes()
 
     def test_groups_leave_the_batch_at_their_own_fixed_points(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -196,13 +208,13 @@ class TestDbaAverages:
             return step(batch)
 
         monkeypatch.setattr(dba, "_step", counting)
-        out = dba_averages(groups, DbaConfig(iterations=4))
+        out = refine(groups, 4)
         # The identical pair stops after its first step and the three short
         # series after their third; the four long ones run all 4.
         assert widths == [[4, 2, 3], [4, 3], [4, 3], [4]]
         monkeypatch.undo()
         for members, got in zip(groups, out):
-            assert got.tobytes() == dba_average(members, DbaConfig(4)).tobytes()
+            assert got.tobytes() == refine([members], 4)[0].tobytes()
             assert not got.flags.writeable
 
     def test_no_groups(self):

@@ -83,10 +83,16 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 2.5), ("epochs", 2.0), ("epochs", True), ("epochs", "3"),
         ("batch_size", 8.0), ("batch_size", False), ("batch_size", None),
+        ("seed", None), ("seed", True), ("seed", 1.5), ("seed", "3"),
     ])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got"):
             TrainConfig(**{field: value})
+
+    def test_seed_must_not_be_negative(self):
+        # numpy's default_rng refuses a negative seed.
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("lr", ["0.001", None, True])
     def test_learning_rate_must_be_a_real_number(self, lr):
@@ -95,8 +101,8 @@ class TestTrainConfig:
 
     def test_numpy_scalars_are_accepted(self):
         cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4),
-                          learning_rate=np.float32(0.01))
-        assert (cfg.epochs, cfg.batch_size) == (3, 4)
+                          learning_rate=np.float32(0.01), seed=np.uint8(5))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 4, 5)
 
 
 class TestBuildModel:

@@ -164,6 +164,27 @@ class TestRunMatrix:
             fresh = [asdict(run_pair(source, target, FAST, seed)) for seed in (0, 1)]
             assert cell["results"] == fresh
 
+    @pytest.mark.parametrize("seeds, message", [
+        ([True], "seeds must be integers, got True"),
+        ([0, 1.0], "seeds must be integers, got 1.0"),
+        (["3"], "seeds must be integers, got '3'"),
+        ([0, 0], "repeated seeds [0]"),
+        ([2, -1, 2, 5, -1], "repeated seeds [-1, 2]"),
+    ], ids=["bool", "float", "str", "repeated", "repeated-twice"])
+    def test_refuses_seeds_that_are_not_distinct_integers(self, tmp_path, seeds,
+                                                          message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^run_matrix: {re.escape(message)}$"):
+            run_matrix(tiny_datasets(2), FAST, seeds=seeds, out_dir=out)
+        assert not out.exists()
+
+    def test_a_negative_seed_is_a_label(self, tmp_path):
+        config = TrainConfig(epochs=0, batch_size=8)
+        matrix = run_matrix(tiny_datasets(2), config, seeds=[-1], out_dir=tmp_path)
+        assert not matrix.failures
+        record = json.loads((tmp_path / "cells" / "A__B.json").read_text())
+        assert record["seeds"] == [-1]
+
     def test_cell_counts(self, tmp_path):
         datasets = tiny_datasets(2)
         matrix = run_matrix(datasets, FAST, seeds=[0], out_dir=tmp_path / "r2")

@@ -9,7 +9,6 @@ from tstransfer import (
     ClassPrototypes,
     DataValidationError,
     Dataset,
-    DbaConfig,
     LabeledSeries,
     SimilarityMatrix,
     dataset_distance,
@@ -24,14 +23,12 @@ from tstransfer import (
     write_ranking_json,
 )
 
-FAST_DBA = DbaConfig(iterations=2)
-
 
 class TestReduceDataset:
     def test_one_series_per_class_is_verbatim(self):
         train = (LabeledSeries([0.0, 1.0], 0), LabeledSeries([2.0, 3.0], 1))
         ds = Dataset(name="d", train=train, test=(), class_count=2)
-        out = reduce_dataset(ds, FAST_DBA)
+        out = reduce_dataset(ds)
         assert np.array_equal(out.prototypes[0], [0.0, 1.0])
         assert np.array_equal(out.prototypes[1], [2.0, 3.0])
 
@@ -41,23 +38,23 @@ class TestReduceDataset:
             LabeledSeries([1.0, 1.0, 1.0], 1),
         )
         ds = Dataset(name="d", train=train, test=(), class_count=2)
-        out = reduce_dataset(ds, DbaConfig(iterations=10))
+        out = reduce_dataset(ds)
         assert np.array_equal(out.prototypes[0], s)
 
     def test_matches_direct_dba_of_class_groups(self):
         rng = np.random.default_rng(4)
         ds = make_random_dataset("d", rng, n_train=8, length=6, classes=2)
-        out = reduce_dataset(ds, FAST_DBA)
+        out = reduce_dataset(ds)
         groups = group_by_class(ds.train)
         for c in (0, 1):
-            assert np.array_equal(out.prototypes[c], dba_average(groups[c], FAST_DBA))
+            assert np.array_equal(out.prototypes[c], dba_average(groups[c]))
 
     def test_uses_train_only(self):
         rng = np.random.default_rng(5)
         ds = make_random_dataset("d", rng, n_train=6, n_test=4, length=6)
         stripped = Dataset(name="d", train=ds.train, test=(), class_count=2)
-        a = reduce_dataset(ds, FAST_DBA)
-        b = reduce_dataset(stripped, FAST_DBA)
+        a = reduce_dataset(ds)
+        b = reduce_dataset(stripped)
         for c in (0, 1):
             assert np.array_equal(a.prototypes[c], b.prototypes[c])
 
@@ -101,19 +98,19 @@ class TestSimilarityMatrix:
     def test_needs_two_datasets(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            similarity_matrix([make_random_dataset("a", rng)], FAST_DBA)
+            similarity_matrix([make_random_dataset("a", rng)])
 
     def test_duplicate_names_rejected(self):
         rng = np.random.default_rng(9)
         ds = [make_random_dataset("same", rng), make_random_dataset("same", rng)]
         with pytest.raises(DataValidationError):
-            similarity_matrix(ds, FAST_DBA)
+            similarity_matrix(ds)
 
     def test_identical_datasets_have_zero_distance(self):
         rng = np.random.default_rng(10)
         a = make_random_dataset("a", rng, n_train=6, length=8)
         b = Dataset(name="b", train=a.train, test=a.test, class_count=a.class_count)
-        m = similarity_matrix([a, b], FAST_DBA)
+        m = similarity_matrix([a, b])
         assert m.distance("a", "b") == 0.0
 
     def test_structure_and_reference_equality(self):
@@ -121,11 +118,11 @@ class TestSimilarityMatrix:
         datasets = [
             make_random_dataset(n, rng, n_train=6, length=7) for n in ("a", "b", "c")
         ]
-        m = similarity_matrix(datasets, FAST_DBA)
+        m = similarity_matrix(datasets)
         assert np.array_equal(m.values, m.values.T)
         assert np.array_equal(np.diag(m.values), np.zeros(3))
         # naive double loop over the same prototypes
-        reduced = [reduce_dataset(d, FAST_DBA) for d in datasets]
+        reduced = [reduce_dataset(d) for d in datasets]
         for i in range(3):
             for j in range(3):
                 expected = 0.0 if i == j else dataset_distance(reduced[i], reduced[j])
@@ -136,8 +133,8 @@ class TestSimilarityMatrix:
         datasets = [
             make_random_dataset(n, rng, n_train=5, length=6) for n in ("a", "b", "c")
         ]
-        m = similarity_matrix(datasets, FAST_DBA)
-        perm = similarity_matrix([datasets[2], datasets[0], datasets[1]], FAST_DBA)
+        m = similarity_matrix(datasets)
+        perm = similarity_matrix([datasets[2], datasets[0], datasets[1]])
         for x in "abc":
             for y in "abc":
                 assert m.distance(x, y) == perm.distance(x, y)
@@ -152,12 +149,12 @@ class TestSimilarityMatrix:
         calls = []
         real = sim.reduce_dataset
 
-        def counting(dataset, config):
+        def counting(dataset):
             calls.append(dataset.name)
-            return real(dataset, config)
+            return real(dataset)
 
         monkeypatch.setattr(sim, "reduce_dataset", counting)
-        sim.similarity_matrix(datasets, FAST_DBA)
+        sim.similarity_matrix(datasets)
         assert sorted(calls) == ["a", "b", "c"]
 
     def test_test_split_deletion_invariance(self):
@@ -170,8 +167,8 @@ class TestSimilarityMatrix:
             Dataset(name=d.name, train=d.train, test=(), class_count=d.class_count)
             for d in datasets
         ]
-        m1 = similarity_matrix(datasets, FAST_DBA)
-        m2 = similarity_matrix(stripped, FAST_DBA)
+        m1 = similarity_matrix(datasets)
+        m2 = similarity_matrix(stripped)
         assert np.array_equal(m1.values, m2.values)
 
     def test_matrix_validation(self):
@@ -251,7 +248,7 @@ class TestRankSources:
             make_random_dataset(n, rng, n_train=5, length=6)
             for n in ("a", "b", "c", "d")
         ]
-        m = similarity_matrix(datasets, FAST_DBA)
+        m = similarity_matrix(datasets)
         for t in "abcd":
             r = rank_sources(m, t)
             assert len(r.ranked) == 3
@@ -271,7 +268,7 @@ class TestExports:
         datasets = [
             make_random_dataset(n, rng, n_train=5, length=6) for n in ("a", "b", "c")
         ]
-        m = similarity_matrix(datasets, FAST_DBA)
+        m = similarity_matrix(datasets)
         path = tmp_path / "matrix.csv"
         write_matrix_csv(m, path)
         back = read_matrix_csv(path)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,26 @@ class TestSaveLoad:
     def test_a_failed_write_raises_the_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             save_model(build_model(2, seed=7, filters=TINY), tmp_path / "no" / "m.fcn")
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("head.bias", 1e300, "tensor head.bias contains non-finite values"),
+        ("bn1.running_var", 0.0, "bn1 running variance must be positive"),
+        ("bn2.running_var", 1e-50, "bn2 running variance must be positive"),
+    ], ids=["overflows-float32", "zero-variance", "variance-rounds-to-zero"])
+    def test_a_model_that_would_not_load_is_not_saved(self, tmp_path, name, value,
+                                                      message):
+        path = tmp_path / "m.fcn"
+        save_model(build_model(2, seed=7, filters=TINY), path)
+        before = path.read_bytes()
+        model = build_model(2, seed=8, filters=TINY)
+        model[name] = np.full(model[name].shape, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFileError) as info:
+                save_model(model, path)
+        assert str(info.value) == f"{path}: {message}"
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.fcn"]
 
     def test_shape_mismatch(self, tmp_path):
         m = build_model(2, seed=8, filters=TINY)
