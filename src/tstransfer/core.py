@@ -35,7 +35,7 @@ UCR_EXTENSIONS = ("", ".tsv", ".csv", ".txt")
 
 
 class DataValidationError(ValueError):
-    """Input data violates a series or dataset invariant."""
+    """Input violates a rule: a series, count, label, dataset or dataset list."""
 
 
 class UcrParseError(ValueError):
@@ -61,15 +61,29 @@ def as_series(values, name: str = "time series") -> np.ndarray:
     return arr
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """ValueError naming `name` unless value is an integer >= minimum.
+def check_count(name: str, value, minimum) -> int:
+    """The one check of every count, label and seed: value as a Python int.
 
-    A bool is not a count, and neither is a float with an integral value.
+    DataValidationError naming `name` unless value is a Python or numpy
+    integer, not a bool, >= minimum (-math.inf admits any sign).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise DataValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise DataValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_datasets(caller: str, datasets) -> list:
+    """The datasets as a list; DataValidationError prefixed with `caller`
+    unless there are at least two, with distinct names."""
+    datasets = list(datasets)
+    if len(datasets) < 2:
+        raise DataValidationError(f"{caller}: need at least 2 datasets")
+    names = [d.name for d in datasets]
+    if len(set(names)) != len(names):
+        raise DataValidationError(f"{caller}: duplicate dataset names {sorted(names)}")
+    return datasets
 
 
 def parse_decimals(tokens: list[str]) -> list[float]:
@@ -104,25 +118,24 @@ def z_normalize(series) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledSeries:
-    """One time series together with its canonical class label (0..C-1)."""
+    """One time series and its class label 0..C-1, a `check_count` int."""
 
     series: np.ndarray
     label: int
 
     def __post_init__(self):
         object.__setattr__(self, "series", as_series(self.series))
-        object.__setattr__(self, "label", int(self.label))
-        if self.label < 0:
-            raise DataValidationError(f"label must be non-negative, got {self.label}")
+        object.__setattr__(self, "label", check_count("label", self.label, 0))
 
 
 @dataclass(frozen=True)
 class Dataset:
     """A named train/test collection of labeled series.
 
-    Invariants enforced at construction: the train split is non-empty, every
-    class in 0..class_count-1 occurs in it, and all series across both splits
-    share one length. The test split may be empty.
+    Invariants enforced at construction: class_count is an int >= 1
+    (`check_count`), the train split is non-empty, every class in
+    0..class_count-1 occurs in it, and all series across both splits share
+    one length. The test split may be empty.
     """
 
     name: str
@@ -137,10 +150,8 @@ class Dataset:
             raise DataValidationError("dataset name must be non-empty")
         if not self.train:
             raise DataValidationError(f"dataset {self.name!r}: train split is empty")
-        if self.class_count < 1:
-            raise DataValidationError(
-                f"dataset {self.name!r}: class_count must be >= 1"
-            )
+        object.__setattr__(self, "class_count", check_count(
+            f"dataset {self.name!r}: class_count", self.class_count, 1))
         for item in self.train + self.test:
             if not 0 <= item.label < self.class_count:
                 raise DataValidationError(

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledSeries, as_series, check_count
+from .core import DataValidationError, LabeledSeries, as_series, check_count
 
 __all__ = [
     "FcnModel",
@@ -119,8 +119,13 @@ def layer_spec(filters, class_count: int) -> dict[str, tuple[int, ...]]:
 
     conv{k}.weight is (filters[k-1], in_channels, kernel); biases and the
     four batch-norm vectors are per-channel; head.weight is
-    (filters[-1], class_count).
+    (filters[-1], class_count). The one check of a network's shape: three
+    filter counts >= 1 and a class count >= 2 (`check_count`).
     """
+    if not isinstance(filters, (tuple, list)) or len(filters) != 3:
+        raise DataValidationError(f"filters must be three counts, got {filters!r}")
+    filters = [check_count(f"filters[{k}]", f, 1) for k, f in enumerate(filters)]
+    class_count = check_count("class_count", class_count, 2)
     spec: dict[str, tuple[int, ...]] = {}
     in_ch = 1
     for k, (out_ch, kernel) in enumerate(zip(filters, KERNEL_SIZES), start=1):
@@ -205,16 +210,14 @@ def build_model(
     Convolution fans count in_channels * kernel and out_channels * kernel;
     the head uses fan_in = filters[-1] and fan_out = class_count. Biases are
     zero; batch-norm starts as scale 1, shift 0, running mean 0, running
-    variance 1. Deterministic for a given seed.
+    variance 1. Deterministic for a given seed, an integer >= 0; the shape
+    is checked by `layer_spec`.
     """
-    if class_count < 2:
-        raise ValueError(f"class_count must be >= 2, got {class_count}")
-    if len(filters) != 3 or any(f < 1 for f in filters):
-        raise ValueError(f"filters must be three positive counts, got {filters}")
-    rng = np.random.default_rng(seed)
+    spec = layer_spec(filters, class_count)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     model = FcnModel()
     # Spec order draws the conv1, conv2, conv3 and head weights in turn.
-    for name, shape in layer_spec(filters, class_count).items():
+    for name, shape in spec.items():
         if name == "head.weight":
             bound = glorot_uniform_bound(*shape)
             model[name] = rng.uniform(-bound, bound, size=shape)
@@ -458,18 +461,10 @@ def _stack_batch(series, dtype, name="batch") -> np.ndarray:
     return x[:, :, None]
 
 
-def _checked_labels(labels, class_count: int) -> np.ndarray:
-    """Labels as an index array; ValueError unless all lie in 0..class_count-1."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ValueError(
-            f"labels must lie in 0..{class_count - 1}, got {labels.tolist()}"
-        )
-    return labels
-
-
-def _split_pairs(split) -> tuple[list, list[int]]:
-    """Accept LabeledSeries or (series, label) pairs uniformly."""
+def _split_pairs(split, class_count: int) -> tuple[list, np.ndarray]:
+    """The series of LabeledSeries or (series, label) pairs, and their labels
+    as an index array. A pair's label must be an integer (`check_count`),
+    and ValueError unless every label lies in 0..class_count-1."""
     series, labels = [], []
     for item in split:
         if isinstance(item, LabeledSeries):
@@ -478,8 +473,10 @@ def _split_pairs(split) -> tuple[list, list[int]]:
         else:
             s, lab = item
             series.append(s)
-            labels.append(int(lab))
-    return series, labels
+            labels.append(check_count("label", lab, -math.inf))
+    if labels and (min(labels) < 0 or max(labels) >= class_count):
+        raise ValueError(f"labels must lie in 0..{class_count - 1}, got {labels}")
+    return series, np.asarray(labels, dtype=np.intp)
 
 
 class _Buffers:
@@ -625,13 +622,12 @@ def loss_and_gradients(model: FcnModel, batch):
     The batch is a sequence of (series, label) pairs or LabeledSeries. Runs
     in training mode, so batch statistics are used and running statistics
     are updated. Gradients are returned as a dict keyed by the TRAINABLE
-    tensor names. Labels outside 0..class_count-1, series that
-    `core.as_series` rejects and a batch of mixed lengths raise ValueError.
+    tensor names. Labels that are not integers in 0..class_count-1, series
+    that `core.as_series` rejects and mixed lengths raise ValueError.
     Softmax plus cross-entropy is evaluated through log-sum-exp, so
     probabilities never underflow the log.
     """
-    series, labels = _split_pairs(batch)
-    labels = _checked_labels(labels, model.class_count)
+    series, labels = _split_pairs(batch, model.class_count)
     x = _stack_batch(series, model.dtype)
     bufs = _Buffers(model, train=True)
     loss, grads, _ = _loss_and_gradients_impl(model, x, labels, bufs)
@@ -719,10 +715,9 @@ def adam_step(
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * mhat / (sqrt(vhat) + eps), with lr from config and
-    b1, b2, eps the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON.
+    b1, b2, eps the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON; t >= 1.
     """
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
+    check_count("t", t, 1)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
@@ -765,10 +760,9 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     is then no checkpoint). Fully deterministic for a given seed. With
     epochs = 0 the input model is returned as it is.
     """
-    series, labels = _split_pairs(train_split)
+    series, labels = _split_pairs(train_split, model.class_count)
     if not series:
         raise ValueError("train: empty train split")
-    labels = _checked_labels(labels, model.class_count)
     x = _stack_batch(series, TRAIN_DTYPE, "train split")
     if config.epochs == 0:
         return model, TrainHistory()
@@ -819,14 +813,13 @@ def evaluate(model: FcnModel, split) -> float:
     """Fraction of samples whose argmax class matches the label (eval mode).
 
     The argmax is taken on the probabilities `forward` returns for the
-    split's series, and ties resolve to the lowest class index. Labels
-    outside 0..class_count-1 raise ValueError, as in `loss_and_gradients`.
+    split's series, and ties resolve to the lowest class index. Labels are
+    checked as in `loss_and_gradients`.
     The split may mix series lengths.
     """
-    series, labels = _split_pairs(split)
+    series, labels = _split_pairs(split, model.class_count)
     if not series:
         raise ValueError("evaluate: empty split")
-    labels = _checked_labels(labels, model.class_count)
     return int((forward(model, series).argmax(axis=1) == labels).sum()) / len(series)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 import re
 import statistics
@@ -22,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 
-from .core import DataValidationError, Dataset
+from .core import DataValidationError, Dataset, check_count, check_datasets
 from .fcn import (
     NUMERICS_VERSION, TRAIN_DTYPE, TrainConfig, build_model, evaluate, train,
 )
@@ -197,7 +196,7 @@ def _cell_record(results: list[PairResult], provenance: dict) -> dict:
 
 def _dataset_digest(dataset: Dataset) -> str:
     """SHA-256 of a dataset's contents: class count, labels and samples."""
-    h = hashlib.sha256(int(dataset.class_count).to_bytes(8, "little"))
+    h = hashlib.sha256(dataset.class_count.to_bytes(8, "little"))
     for split in (dataset.train, dataset.test):
         h.update(len(split).to_bytes(8, "little"))
         for item in split:
@@ -219,19 +218,14 @@ def _cell_path(out_dir, source: str, target: str) -> str:
     return os.path.join(out_dir, "cells", f"{_slug(source)}__{_slug(target)}.json")
 
 
-def run_matrix(
-    datasets,
-    config: TrainConfig,
-    seeds=(0,),
-    out_dir=None,
-) -> VariationMatrix:
+def run_matrix(datasets, config: TrainConfig, seeds=(0,), *, out_dir) -> VariationMatrix:
     """Run every off-diagonal (source, target) cell, with resume and isolation.
 
     `seeds` are distinct integers of any sign, labels that `derive_seed`
-    hashes; each cell runs once per seed.
+    hashes; each cell runs once per seed. The datasets pass `check_datasets`.
 
-    When out_dir is given, each cell is written atomically, mode 0o666 less
-    the umask, to `cells/<source>__<target>.json`: its result, or if it
+    Each cell is written atomically, mode 0o666 less the umask, to
+    `<out_dir>/cells/<source>__<target>.json`: its result, or if it
     failed {"source", "target", "error"}. Either record carries what the
     cell depends on: the seeds, the TrainConfig fields but the unused
     `seed`, the dtype training computes in, the version of its numerics
@@ -247,26 +241,24 @@ def run_matrix(
     fine-tune. A failing cell is recorded, its file replaced by the failure
     record, without stopping the run. Cells run one after another, in order.
     """
-    datasets = list(datasets)
-    if len(datasets) < 2:
-        raise ValueError("run_matrix: need at least 2 datasets")
+    datasets = check_datasets("run_matrix", datasets)
     names = [d.name for d in datasets]
-    if len(set(names)) != len(names):
-        raise ValueError(f"run_matrix: duplicate dataset names {sorted(names)}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_matrix: need at least one seed")
     for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ValueError(f"run_matrix: seeds must be integers, got {seed!r}")
+        try:
+            check_count("seeds", seed, -math.inf)
+        except DataValidationError:
+            raise DataValidationError(
+                f"run_matrix: seeds must be integers, got {seed!r}") from None
     repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
     if repeated:
         raise ValueError(f"run_matrix: repeated seeds {repeated}")
     by_name = {d.name: d for d in datasets}
     digests = {d.name: _dataset_digest(d) for d in datasets}
     matrix = VariationMatrix(names=tuple(names))
-    if out_dir is not None:
-        os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
 
     # Every training derives its seeds from `seeds`, so config.seed is unused.
     fields = {k: v for k, v in asdict(config).items() if k != "seed"}
@@ -279,8 +271,8 @@ def run_matrix(
 
     todo = []
     for s, t in [(s, t) for s in names for t in names if s != t]:
-        path = None if out_dir is None else _cell_path(out_dir, s, t)
-        if path is not None and os.path.isfile(path):
+        path = _cell_path(out_dir, s, t)
+        if os.path.isfile(path):
             try:
                 record = _read_record(path)
             except DataValidationError:
@@ -320,8 +312,7 @@ def run_matrix(
             error = f"{type(exc).__name__}: {exc}"
             record = {"source": s, "target": t, "error": error, **provenance(s, t)}
             matrix.failures[(s, t)] = error
-        if path is not None:
-            dump_json_17g(record, path)
+        dump_json_17g(record, path)
     return matrix
 
 
@@ -491,9 +482,9 @@ def write_report(
     matrix: VariationMatrix,
     similarity: SimilarityMatrix,
     out_path,
-    aggregate_path=None,
+    aggregate_path,
 ) -> dict:
-    """Emit the selection report JSON plus the per-target aggregate CSV.
+    """Write the selection report JSON and the per-target aggregate CSV.
 
     Rankings come from the similarity matrix; every experiment target must
     be present in it, and it may hold more datasets than the run. Each
@@ -518,10 +509,8 @@ def write_report(
         for (s, t), err in sorted(matrix.failures.items())
     ]
     dump_json_17g(report, out_path)
-
-    if aggregate_path is not None:
-        aggregates = aggregate(columns)
-        dump_csv_17g([["target", "min", "median", "max"]] + [
-            [target, *aggregates[target]] for target in sorted(aggregates)
-        ], aggregate_path)
+    aggregates = aggregate(columns)
+    dump_csv_17g([["target", "min", "median", "max"]] + [
+        [target, *aggregates[target]] for target in sorted(aggregates)
+    ], aggregate_path)
     return report

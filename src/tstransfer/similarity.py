@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataValidationError, Dataset, group_by_class, parse_decimals
+from .core import (
+    DataValidationError, Dataset, check_datasets, group_by_class, parse_decimals,
+)
 from .dba import dba_averages
 from .dtw import dtw_distance
 from .textfmt import dump_csv_17g, dump_json_17g
@@ -116,13 +118,9 @@ def dataset_distance(a: ClassPrototypes, b: ClassPrototypes) -> float:
 
 
 def similarity_matrix(datasets) -> SimilarityMatrix:
-    """Distance matrix over a list of datasets, each reduced exactly once."""
-    datasets = list(datasets)
-    if len(datasets) < 2:
-        raise ValueError("similarity_matrix: need at least 2 datasets")
+    """Distance matrix over a `check_datasets` list, each reduced once."""
+    datasets = check_datasets("similarity_matrix", datasets)
     names = [d.name for d in datasets]
-    if len(set(names)) != len(names):
-        raise DataValidationError(f"duplicate dataset names: {sorted(names)}")
     reduced = [reduce_dataset(d) for d in datasets]
     n = len(datasets)
     values = np.zeros((n, n))
@@ -159,9 +157,16 @@ def write_matrix_csv(matrix: SimilarityMatrix, path) -> None:
 
 
 def read_matrix_csv(path) -> SimilarityMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader]
+    """A `write_matrix_csv` file; DataValidationError naming the file, and
+    the line where known, for any malformed content."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows or rows[0][1][:1] != [""]:
         raise DataValidationError(f"{path}: not a similarity-matrix CSV")
     names = tuple(rows[0][1][1:])

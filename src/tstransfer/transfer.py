@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_count
 from .fcn import (
     KERNEL_SIZES,
     FcnModel,
@@ -123,12 +123,10 @@ def load_model(path) -> FcnModel:
     if not isinstance(header, dict):
         raise ModelFileError(f"{path}: header is not a JSON object")
     filters, class_count = header.get("filters"), header.get("class_count")
-    if (not isinstance(filters, list) or len(filters) != 3
-            or any(type(f) is not int or f < 1 for f in filters)):
-        raise ModelFileError(f"{path}: bad filter configuration {filters!r}")
-    if type(class_count) is not int or class_count < 2:
-        raise ModelFileError(f"{path}: bad class_count {class_count!r}")
-    expected = _header(filters, class_count)
+    try:
+        expected = _header(filters, class_count)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
     if header != expected:
         absent = object()
         keys = sorted(k for k in header.keys() | expected.keys()
@@ -158,11 +156,11 @@ def swap_head(model: FcnModel, new_class_count: int, seed: int) -> FcnModel:
 
     The convolution and batch-norm tensors, including running statistics,
     are copied unchanged; the head becomes (filters[-1], new_class_count)
-    with zero bias, in the body's dtype. Deterministic for a given seed.
+    with zero bias, in the body's dtype. Deterministic for a given seed;
+    new_class_count >= 2 and seed >= 0 are integers (`check_count`).
     """
-    if new_class_count < 2:
-        raise ValueError(f"new_class_count must be >= 2, got {new_class_count}")
-    rng = np.random.default_rng(seed)
+    check_count("new_class_count", new_class_count, 2)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     feature_dim = model.filters[-1]
     bound = glorot_uniform_bound(feature_dim, new_class_count)
     head_w = rng.uniform(-bound, bound, size=(feature_dim, new_class_count))

@@ -217,9 +217,8 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
     )
 
     work = clone_model(model)
-    series, labels = _split_pairs(batch)
+    series, labels = _split_pairs(batch, work.class_count)
     x = _stack_batch(series, work.dtype)
-    labels = np.asarray(labels)
     rows = np.arange(len(labels))
 
     def probe():

@@ -75,7 +75,8 @@ class TestTrainAndTransfer:
                                      data_dir / f"{name}_TEST.tsv", name)
                     for name in "AB"]
         tunes = record_calls(monkeypatch, harness, "fine_tune")
-        matrix = run_matrix(datasets, TrainConfig(epochs=2, batch_size=8), seeds=[4])
+        matrix = run_matrix(datasets, TrainConfig(epochs=2, batch_size=8), seeds=[4],
+                            out_dir=tmp_path / "res")
         (pretrained,) = [a["pretrained"] for _, a in tunes if a["target"].name == "B"]
         matrix_path = tmp_path / "matrix_a.fcn"
         save_model(pretrained, matrix_path)
@@ -274,6 +275,17 @@ class TestSimilarityRankPipeline:
         assert run(["rank", "--matrix", matrix_path, "--target", "Z",
                     "--out", tmp_path / "r.json"]) == 2
         assert capsys.readouterr().err == "error: unknown target dataset 'Z'\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("content", [
+        b",a,b\na,0,1\nb,1,\xff0\n", b",a,b\na,0," + b"1" * 131073 + b"\nb,1,0\n",
+    ], ids=["0xff-byte", "cell-beyond-the-csv-limit"])
+    def test_a_matrix_csv_the_reader_refuses_is_named(self, tmp_path, capsys, content):
+        matrix_path = tmp_path / "matrix.csv"
+        matrix_path.write_bytes(content)
+        assert run(["rank", "--matrix", matrix_path, "--target", "a",
+                    "--out", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {matrix_path}")
         assert not (tmp_path / "r.json").exists()
 
     def test_dba_iters_is_an_unknown_option(self, tmp_path, data_dir, capsys):

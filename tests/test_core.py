@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_random_dataset
 from tstransfer import (
     DataValidationError,
     Dataset,
     LabeledSeries,
     TrainConfig,
     UcrParseError,
+    adam_step,
     as_series,
     build_model,
     dba_average,
@@ -21,11 +23,15 @@ from tstransfer import (
     find_ucr_pair,
     forward,
     group_by_class,
+    init_adam_state,
     load_ucr_dataset,
     loss_and_gradients,
     medoid,
     pairwise_dtw_matrix,
+    run_matrix,
     save_ucr_dataset,
+    similarity_matrix,
+    swap_head,
     train,
     z_normalize,
 )
@@ -111,6 +117,130 @@ class TestOneSeriesRule:
             assert np.array_equal(scalar, array)
         else:
             assert scalar == array
+
+
+def _dataset(class_count):
+    split = (LabeledSeries([1.0], 0), LabeledSeries([2.0], 1))
+    return Dataset(name="d", train=split, test=(), class_count=class_count)
+
+
+def _adam_step(t):
+    m = _model()
+    zero_grads = init_adam_state(m).m
+    return adam_step(m, zero_grads, init_adam_state(m), t, TrainConfig())
+
+
+_S, _S2 = np.zeros(8), np.ones(8)
+
+# Every entry point that takes a count, a label or a seed, called with a bad
+# one, and the name its DataValidationError gives the argument.
+BAD_INTEGERS = {
+    "LabeledSeries-float": (lambda: LabeledSeries(_S, 0.9), "label"),
+    "LabeledSeries-str": (lambda: LabeledSeries(_S, "1"), "label"),
+    "LabeledSeries-bool": (lambda: LabeledSeries(_S, True), "label"),
+    "loss_and_gradients": (
+        lambda: loss_and_gradients(_model(), [(_S, 1.7), (_S, 0)]), "label"),
+    "train": (lambda: train(_model(), [(_S, 0.5), (_S2, 1.9)],
+                            TrainConfig(epochs=1)), "label"),
+    "evaluate": (lambda: evaluate(_model(), [(_S, True), (_S, 0)]), "label"),
+    "build_model-class_count": (lambda: build_model(2.5, 0), "class_count"),
+    "build_model-filters": (
+        lambda: build_model(2, 0, filters=(1.5, 2, 3)), "filters[0]"),
+    "build_model-seed": (lambda: build_model(2, True), "seed"),
+    "swap_head-class_count": (lambda: swap_head(_model(), 2.5, 0), "new_class_count"),
+    "swap_head-seed": (lambda: swap_head(_model(), 2, 1.0), "seed"),
+    "Dataset-float": (lambda: _dataset(2.0), "class_count"),
+    "Dataset-bool": (lambda: _dataset(True), "class_count"),
+    "adam_step": (lambda: _adam_step(True), "t"),
+}
+
+
+class TestOneIntegerRule:
+    """`check_count` decides for every entry point what a valid integer is."""
+
+    @pytest.mark.parametrize("name", BAD_INTEGERS)
+    def test_rejects(self, name):
+        call, argument = BAD_INTEGERS[name]
+        message = rf"(^|: ){re.escape(argument)} must be an integer, got"
+        with pytest.raises(DataValidationError, match=message):
+            call()
+
+    def test_numpy_integers_are_accepted(self):
+        assert type(LabeledSeries(_S, np.int64(1)).label) is int
+        assert type(_dataset(np.int64(2)).class_count) is int
+        filters = tuple(map(np.int32, (4, 6, 3)))
+        m = build_model(np.int64(2), np.int64(5), filters=filters)
+        assert all(np.array_equal(m[k], _model()[k]) for k in m)
+        swapped = swap_head(m, np.int64(3), np.uint8(7))
+        assert np.array_equal(swapped["head.weight"], swap_head(m, 3, 7)["head.weight"])
+        _adam_step(np.int64(1))
+
+
+# Labels that are not integers >= 0, and integers that are.
+_NOT_A_LABEL = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.booleans(), st.text(max_size=3),
+    st.none(), st.integers(max_value=-1),
+)
+_A_LABEL = st.one_of(
+    st.integers(0, 10**30), st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+)
+
+
+class TestLabelProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(label=_NOT_A_LABEL)
+    def test_a_label_that_is_not_a_count_is_refused_everywhere(self, label):
+        with pytest.raises(DataValidationError, match="label"):
+            LabeledSeries(_S, label)
+        pairs = [(_S, 0), (_S2, label)]
+        # not an integer: check_count; a negative one: the range check
+        for call in (lambda: evaluate(_model(), pairs),
+                     lambda: loss_and_gradients(_model(), pairs),
+                     lambda: train(_model(), pairs, TrainConfig(epochs=1))):
+            with pytest.raises(ValueError, match="label"):
+                call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(label=_A_LABEL)
+    def test_an_integer_label_is_stored_as_an_int(self, label):
+        item = LabeledSeries(_S, label)
+        assert type(item.label) is int and item.label == int(label)
+
+    @settings(max_examples=10, deadline=None)
+    @given(labels=st.lists(
+        st.sampled_from([0, 1, np.int64(1), np.uint8(0), np.int32(1)]),
+        min_size=2, max_size=4))
+    def test_integer_pair_labels_act_as_python_ints(self, labels):
+        pairs = [(np.full(8, k), lab) for k, lab in enumerate(labels)]
+        plain = [(s, int(lab)) for s, lab in pairs]
+        m = _model()
+        assert evaluate(m, pairs) == evaluate(m, plain)
+        assert loss_and_gradients(m, pairs)[0] == loss_and_gradients(m, plain)[0]
+        config = TrainConfig(epochs=1, batch_size=4)
+        assert train(m, pairs, config)[1].losses == train(m, plain, config)[1].losses
+
+
+class TestOneDatasetListRule:
+    """`check_datasets` decides what a valid list of datasets is."""
+
+    @pytest.mark.parametrize("caller, run", [
+        ("similarity_matrix", similarity_matrix),
+        ("run_matrix",
+         lambda ds: run_matrix(ds, TrainConfig(epochs=0), out_dir="unused")),
+    ], ids=["similarity_matrix", "run_matrix"])
+    @pytest.mark.parametrize("names, message", [
+        (["a"], "need at least 2 datasets"),
+        (["b", "a", "b"], "duplicate dataset names ['a', 'b', 'b']"),
+    ], ids=["one", "repeated"])
+    def test_rejects(self, tmp_path, monkeypatch, caller, run, names, message):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(3)
+        datasets = [make_random_dataset(n, rng) for n in names]
+        with pytest.raises(DataValidationError,
+                           match=f"^{caller}: {re.escape(message)}$"):
+            run(datasets)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSeriesAndDataset:

@@ -146,7 +146,7 @@ class TestRunPair:
 
 
 class TestRunMatrix:
-    def test_baseline_evaluated_once_per_target_and_seed(self, monkeypatch):
+    def test_baseline_evaluated_once_per_target_and_seed(self, tmp_path, monkeypatch):
         datasets = tiny_datasets(3)
         calls = []
 
@@ -155,7 +155,7 @@ class TestRunMatrix:
             return evaluate(model, split)
 
         monkeypatch.setattr(harness, "evaluate", counting)
-        matrix = run_matrix(datasets, FAST, seeds=[0, 1])
+        matrix = run_matrix(datasets, FAST, seeds=[0, 1], out_dir=tmp_path)
         # 6 cells x 2 seeds transfer evaluations plus 3 targets x 2 seeds baselines
         assert len(calls) == 12 + 6
         monkeypatch.setattr(harness, "evaluate", evaluate)
@@ -228,9 +228,9 @@ class TestRunMatrix:
         assert not retried.failures
         assert "error" not in json.loads(path.read_text())
 
-    def test_run_trains_each_scratch_model_once(self, monkeypatch):
+    def test_run_trains_each_scratch_model_once(self, tmp_path, monkeypatch):
         datasets = tiny_datasets(3)
-        uncounted = run_matrix(datasets, FAST, seeds=[0])
+        uncounted = run_matrix(datasets, FAST, seeds=[0], out_dir=tmp_path / "a")
         trainings, evaluations = [], []
         real_train = harness.train
 
@@ -244,17 +244,18 @@ class TestRunMatrix:
 
         monkeypatch.setattr(harness, "train", counting_train)
         monkeypatch.setattr(harness, "evaluate", counting_evaluate)
-        counted = run_matrix(datasets, FAST, seeds=[0])
+        counted = run_matrix(datasets, FAST, seeds=[0], out_dir=tmp_path / "b")
         # one scratch model per dataset; 6 transfer plus 3 baseline evaluations
         assert len(trainings) == 3
         assert len(evaluations) == 6 + 3
         assert counted.cells == uncounted.cells
 
-    def test_every_scratch_training_precedes_the_first_fine_tune(self, monkeypatch):
+    def test_every_scratch_training_precedes_the_first_fine_tune(self, tmp_path,
+                                                                  monkeypatch):
         log = []
         record_calls(monkeypatch, harness, "train", log)
         record_calls(monkeypatch, harness, "fine_tune", log)
-        run_matrix(tiny_datasets(3), FAST, seeds=[0, 1])
+        run_matrix(tiny_datasets(3), FAST, seeds=[0, 1], out_dir=tmp_path)
         # phase 1: 3 datasets x 2 seeds; phase 2: 6 cells x 2 seeds
         assert [name for name, _ in log] == ["train"] * 6 + ["fine_tune"] * 12
 
@@ -340,7 +341,7 @@ class TestRunMatrix:
         run_matrix(datasets, first, seeds=[0], out_dir=out)
         second = TrainConfig(epochs=3, batch_size=8, seed=0)
         rerun = run_matrix(datasets, second, seeds=[5], out_dir=out)
-        fresh = run_matrix(datasets, second, seeds=[5])
+        fresh = run_matrix(datasets, second, seeds=[5], out_dir=tmp_path / "fresh")
         assert rerun.cells == fresh.cells
         for cell in rerun.cells.values():
             assert cell["seeds"] == [5]
@@ -351,7 +352,8 @@ class TestRunMatrix:
         # same names and config, different contents
         changed = tiny_datasets(2, seed=70)
         rerun = run_matrix(changed, second, seeds=[5], out_dir=out)
-        assert rerun.cells == run_matrix(changed, second, seeds=[5]).cells
+        assert rerun.cells == run_matrix(changed, second, seeds=[5],
+                                         out_dir=tmp_path / "changed").cells
         assert rerun.cells != fresh.cells
 
     def test_load_matrix_results_round_trip(self, tmp_path):
@@ -469,14 +471,14 @@ class TestRunMatrix:
             load_matrix_results(out)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_cell_whose_training_overflows_records_the_cause(self):
+    def test_cell_whose_training_overflows_records_the_cause(self, tmp_path):
         def overflow(n):
             return tuple(
                 LabeledSeries(np.full(16, 3e38 * (-1) ** k), k % 2) for k in range(n)
             )
 
         huge = Dataset(name="H", train=overflow(8), test=overflow(4), class_count=2)
-        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST)
+        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST, out_dir=tmp_path)
         assert not matrix.cells
         for pair in (("A", "H"), ("H", "A")):
             assert matrix.failures[pair].startswith("ValueError: train: no epoch")
@@ -510,22 +512,24 @@ class TestRunMatrix:
             assert record["error"] == error
         assert len(set(matrix.failures.values())) == 1
 
-    def test_a_target_without_test_series_costs_no_fine_tune(self, monkeypatch):
+    def test_a_target_without_test_series_costs_no_fine_tune(self, tmp_path,
+                                                              monkeypatch):
         a, b = tiny_datasets(2)
         b = Dataset(name="B", train=b.train, test=(), class_count=b.class_count)
         tuned = record_calls(monkeypatch, harness, "fine_tune")
-        matrix = run_matrix([a, b], FAST)
+        matrix = run_matrix([a, b], FAST, out_dir=tmp_path)
         # B's baseline fails in phase 1, so the cell into B fine-tunes nothing
         assert [args["target"].name for _, args in tuned] == ["A"]
         assert matrix.failures == {("A", "B"): "ValueError: evaluate: empty split"}
         assert set(matrix.cells) == {("B", "A")}
 
-    def test_a_failed_training_at_a_later_seed_costs_no_fine_tune(self, monkeypatch):
+    def test_a_failed_training_at_a_later_seed_costs_no_fine_tune(self, tmp_path,
+                                                                   monkeypatch):
         failing = derive_seed(1, "B", "train")
         record_calls(monkeypatch, harness, "train",
                      fail=lambda a: a["config"].seed == failing)
         tuned = record_calls(monkeypatch, harness, "fine_tune")
-        matrix = run_matrix(tiny_datasets(2), FAST, seeds=[0, 1])
+        matrix = run_matrix(tiny_datasets(2), FAST, seeds=[0, 1], out_dir=tmp_path)
         # both cells need B at seed 1, so neither fine-tunes at seed 0
         assert tuned == []
         assert not matrix.cells
@@ -533,13 +537,13 @@ class TestRunMatrix:
             cell: "RuntimeError: injected failure" for cell in (("A", "B"), ("B", "A"))
         }
 
-    def test_cell_with_samples_beyond_float32_records_the_cause(self):
+    def test_cell_with_samples_beyond_float32_records_the_cause(self, tmp_path):
         def beyond(n):
             return tuple(LabeledSeries(np.full(16, 1e39 * (-1) ** k), k % 2)
                          for k in range(n))
 
         huge = Dataset(name="H", train=beyond(8), test=beyond(4), class_count=2)
-        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST)
+        matrix = run_matrix([tiny_datasets(1)[0], huge], FAST, out_dir=tmp_path)
         assert not matrix.cells
         for pair in (("A", "H"), ("H", "A")):
             assert matrix.failures[pair].startswith("ValueError: ")
@@ -638,17 +642,18 @@ class TestRunMatrix:
 
     def test_multi_seed_cells_average(self, tmp_path):
         datasets = tiny_datasets(2)
-        matrix = run_matrix(datasets, FAST, seeds=[0, 1])
+        matrix = run_matrix(datasets, FAST, seeds=[0, 1], out_dir=tmp_path)
         cell = matrix.cells[("A", "B")]
         assert cell["seeds"] == [0, 1]
         assert len(cell["results"]) == 2
         mean = sum(r["transfer_accuracy"] for r in cell["results"]) / 2
         assert cell["transfer_accuracy"] == mean
 
-    def test_dataset_order_permutes_consistently(self):
+    def test_dataset_order_permutes_consistently(self, tmp_path):
         datasets = tiny_datasets(3)
-        m1 = run_matrix(datasets, FAST, seeds=[0])
-        m2 = run_matrix(list(reversed(datasets)), FAST, seeds=[0])
+        m1 = run_matrix(datasets, FAST, seeds=[0], out_dir=tmp_path / "m1")
+        m2 = run_matrix(list(reversed(datasets)), FAST, seeds=[0],
+                        out_dir=tmp_path / "m2")
         assert m2.names == tuple(reversed(m1.names))
         assert m1.cells == m2.cells
 
@@ -835,7 +840,7 @@ class TestOutputs:
 
     def test_write_report_outputs(self, tmp_path):
         datasets = tiny_datasets(3)
-        matrix = run_matrix(datasets, FAST, seeds=[0])
+        matrix = run_matrix(datasets, FAST, seeds=[0], out_dir=tmp_path / "res")
         sim = SimilarityMatrix(
             ("A", "B", "C"),
             np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
@@ -855,31 +860,34 @@ class TestOutputs:
     ):
         record_calls(monkeypatch, harness, "run_pair",
                      fail=lambda a: (a["source"].name, a["target"].name) == ("B", "A"))
-        matrix = run_matrix(tiny_datasets(3), FAST, seeds=[0])
+        matrix = run_matrix(tiny_datasets(3), FAST, seeds=[0], out_dir=tmp_path / "res")
         assert list(matrix.failures) == [("B", "A")]
         # B is A's nearest dataset, but its cell failed
         sim = SimilarityMatrix(
             ("A", "B", "C"),
             np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
         )
-        report = write_report(matrix, sim, tmp_path / "report.json")
+        report = write_report(matrix, sim, tmp_path / "report.json",
+                              tmp_path / "aggregate.csv")
         smart = report["targets"]["A"]["smart"]
         assert smart["rank1"]["source"] == "C" and smart["rank2"] is None
         assert [(f["source"], f["target"]) for f in report["failures"]] == [("B", "A")]
         # a ranked source with neither a result nor a failure is an error
         del matrix.cells[("A", "B")]
         with pytest.raises(KeyError, match="ranked source 'A' has no transfer"):
-            write_report(matrix, sim, tmp_path / "report.json")
+            write_report(matrix, sim, tmp_path / "report.json",
+                         tmp_path / "aggregate.csv")
 
     def test_report_skips_similarity_datasets_outside_the_run(self, tmp_path):
-        matrix = run_matrix(tiny_datasets(3), FAST, seeds=[0])
+        matrix = run_matrix(tiny_datasets(3), FAST, seeds=[0], out_dir=tmp_path / "res")
         # D is the nearest dataset to every target, but not part of the run
         sim = SimilarityMatrix(
             ("A", "B", "C", "D"),
             np.array([[0.0, 1.0, 2.0, 0.5], [1.0, 0.0, 3.0, 0.5],
                       [2.0, 3.0, 0.0, 0.5], [0.5, 0.5, 0.5, 0.0]]),
         )
-        report = write_report(matrix, sim, tmp_path / "report.json")
+        report = write_report(matrix, sim, tmp_path / "report.json",
+                              tmp_path / "aggregate.csv")
         assert set(report["targets"]) == {"A", "B", "C"}
         ranked = {t: [r and r["source"] for r in entry["smart"].values()]
                   for t, entry in report["targets"].items()}

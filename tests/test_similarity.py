@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_random_dataset
 from tstransfer import (
@@ -308,6 +310,19 @@ class TestExports:
         with pytest.raises(DataValidationError, match=rf"matrix\.csv: {message}$"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b",a,b\na,0,1\nb,1,\xff0\n", "matrix.csv: not UTF-8 text: "),
+        (b",a,b\na,0," + b"1" * 131073 + b"\nb,1,0\n",
+         "matrix.csv:2: field larger than field limit (131072)"),
+    ], ids=["0xff-byte", "cell-beyond-the-csv-limit"])
+    def test_matrix_csv_the_reader_refuses_names_the_file(self, tmp_path, content,
+                                                          message):
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataValidationError) as info:
+            read_matrix_csv(path)
+        assert str(info.value).startswith(f"{tmp_path / message}")
+
     def test_ranking_json_schema(self, tmp_path):
         m = SimilarityMatrix(
             ("a", "b", "c"), np.array([[0, 1.5, 0.5], [1.5, 0, 2], [0.5, 2, 0]])
@@ -318,3 +333,35 @@ class TestExports:
         assert data["target"] == "a"
         assert data["ranking"][0] == {"source": "c", "distance": 0.5, "rank": 1}
         assert data["ranking"][1]["rank"] == 2
+
+
+@st.composite
+def matrix_csv_bytes(draw):
+    """A matrix CSV as written, with random bytes spliced in somewhere."""
+    n = draw(st.integers(1, 3))
+    upper = draw(st.lists(st.floats(0, 10), min_size=n * n, max_size=n * n))
+    values = np.triu(np.reshape(upper, (n, n)), 1)
+    values = values + values.T
+    names = [f"d{k}" for k in range(n)]
+    text = "".join(",".join(row) + "\n" for row in [["", *names]] + [
+        [name, *map(repr, row.tolist())] for name, row in zip(names, values)
+    ]).encode("utf-8")
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.binary(max_size=4)) + text[at:]
+
+
+class TestMatrixCsvFuzz:
+    @pytest.fixture(scope="class")
+    def fuzz_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv") / "matrix.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.binary(max_size=32) | matrix_csv_bytes())
+    def test_input_parses_or_raises_a_data_error(self, fuzz_path, blob):
+        fuzz_path.write_bytes(blob)
+        try:
+            matrix = read_matrix_csv(fuzz_path)
+        except DataValidationError as exc:
+            assert str(exc).startswith(str(fuzz_path))
+            return
+        assert isinstance(matrix, SimilarityMatrix)
