@@ -1,8 +1,9 @@
 """Core time-series containers, z-normalization, and UCR-format file ingestion.
 
 A time series is a read-only 1-D float64 numpy array; `as_series`, the one
-check that every entry point applies, returns it. Labeled collections are
-small frozen dataclasses so they can be shared freely across threads.
+check that every entry point applies, returns it (`as_series_list` for a
+set). Labeled collections are small frozen dataclasses so they can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -45,20 +46,39 @@ class UcrParseError(ValueError):
 def as_series(values, name: str = "time series") -> np.ndarray:
     """Validate a univariate time series and return it as a frozen float64 array.
 
-    A scalar is a one-sample series. More than one dimension, no samples or
-    a non-finite sample raise DataValidationError naming the series `name`.
+    A scalar is a one-sample series, and samples are bools, ints or floats.
+    Anything else (text, bytes, complex numbers, ragged nesting), more than
+    one dimension, no samples or a non-finite sample raise
+    DataValidationError naming the series `name`.
     """
-    arr = np.array(values, dtype=np.float64, ndmin=1)
+    try:
+        arr = np.array(values, ndmin=1)
+        if arr.dtype == object and all(isinstance(v, numbers.Real) for v in arr.flat):
+            arr = arr.astype(np.float64)  # Python ints beyond the int64 range
+    except (ValueError, OverflowError) as exc:  # ragged nesting, an int beyond float
+        raise DataValidationError(f"{name} is not a series of numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise DataValidationError(f"{name} must hold real numbers, got {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1:
-        raise DataValidationError(
-            f"{name} must be one-dimensional, got shape {arr.shape}"
-        )
+        raise DataValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise DataValidationError(f"{name} must contain at least one sample")
     if not np.isfinite(arr).all():
         raise DataValidationError(f"{name} contains non-finite samples")
     arr.flags.writeable = False
     return arr
+
+
+def as_series_list(items, name: str) -> list[np.ndarray]:
+    """The one check of a set of series: `as_series` of each, as `{name}[k]`
+    for its index k in the caller's argument (`items`, or a dict from index
+    to series for a part of it). DataValidationError if there are none."""
+    pairs = items.items() if isinstance(items, dict) else enumerate(items)
+    series = [as_series(s, f"{name}[{k}]") for k, s in pairs]
+    if not series:
+        raise DataValidationError(f"{name} is empty")
+    return series
 
 
 def check_count(name: str, value, minimum) -> int:
@@ -146,8 +166,9 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "train", tuple(self.train))
         object.__setattr__(self, "test", tuple(self.test))
-        if not self.name:
-            raise DataValidationError("dataset name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise DataValidationError(
+                f"dataset name must be a non-empty str, got {self.name!r}")
         if not self.train:
             raise DataValidationError(f"dataset {self.name!r}: train split is empty")
         object.__setattr__(self, "class_count", check_count(

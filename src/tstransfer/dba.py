@@ -10,14 +10,15 @@ mean. The prototype keeps the medoid's length throughout.
 classes of a dataset, together: each step aligns every member of every
 group that has not reached its fixed point in one batched call of
 `dtw._paths`, then averages each group on its own, so every prototype has
-the bits of `dba_average` on its group alone.
+the bits of `dba_average` on its group alone; the batch's path tables are
+as many times wider as there are groups, up to `dtw._PATH_TABLE_BYTES`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import as_series
+from .core import as_series, as_series_list
 from .dtw import _paths, medoid
 
 __all__ = ["DBA_ITERATIONS", "dba_iteration", "dba_average", "dba_averages"]
@@ -58,10 +59,7 @@ def _step(groups) -> list[np.ndarray]:
 def dba_iteration(prototype, members) -> np.ndarray:
     """One refinement step: align every member, then average per coordinate."""
     proto = as_series(prototype, "dba: prototype")
-    members = [as_series(m, f"dba: members[{k}]") for k, m in enumerate(members)]
-    if not members:
-        raise ValueError("dba_iteration: empty member set")
-    return _step([(proto, members)])[0]
+    return _step([(proto, as_series_list(members, "dba_iteration: members"))])[0]
 
 
 def _refine(groups: list[list[np.ndarray]], iterations: int) -> list[np.ndarray]:
@@ -92,16 +90,11 @@ def _refine(groups: list[list[np.ndarray]], iterations: int) -> list[np.ndarray]
 def dba_averages(groups) -> list[np.ndarray]:
     """`[dba_average(members) for members in groups]`, stepped together.
 
-    Members are checked once, and every step aligns the members of all
-    groups that have not reached their fixed point in one batch.
+    Each group is checked as `groups[g]`, and every step aligns the members
+    of all groups that have not reached their fixed point in one batch.
     """
-    groups = [
-        [as_series(m, f"dba: groups[{g}][{k}]") for k, m in enumerate(members)]
-        for g, members in enumerate(groups)
-    ]
-    for g, members in enumerate(groups):
-        if not members:
-            raise ValueError(f"dba_averages: group {g} has no members")
+    groups = [as_series_list(members, f"dba_averages: groups[{g}]")
+              for g, members in enumerate(groups)]
     return _refine(groups, DBA_ITERATIONS)
 
 
@@ -112,7 +105,4 @@ def dba_average(members) -> np.ndarray:
     exactly `DBA_ITERATIONS` refinement steps; the steps after a fixed point,
     which return the same bits, are skipped (see `_refine`).
     """
-    members = [as_series(m, f"dba: members[{k}]") for k, m in enumerate(members)]
-    if not members:
-        raise ValueError("dba_average: empty member set")
-    return _refine([members], DBA_ITERATIONS)[0]
+    return _refine([as_series_list(members, "dba_average: members")], DBA_ITERATIONS)[0]

@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_series
+from .core import as_series, as_series_list
 
 __all__ = [
     "dtw_distance",
@@ -209,14 +209,9 @@ def dtw_path(a, b) -> tuple[float, list[tuple[int, int]]]:
 
 
 def pairwise_dtw_matrix(series) -> np.ndarray:
-    """Symmetric matrix of DTW distances between all members of a collection.
-
-    Each member is checked by `core.as_series`, a lone one too.
-    """
-    items = [as_series(m, f"dtw: members[{k}]") for k, m in enumerate(series)]
+    """Symmetric matrix of DTW distances between all members of a collection."""
+    items = as_series_list(series, "pairwise_dtw_matrix: series")
     n = len(items)
-    if n == 0:
-        raise ValueError("pairwise_dtw_matrix: empty collection")
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -229,7 +224,5 @@ def medoid(series) -> int:
 
     Ties are broken by the lowest index.
     """
-    items = list(series)
-    if not items:
-        raise ValueError("medoid: empty collection")
+    items = as_series_list(series, "medoid: series")
     return int(np.argmin(pairwise_dtw_matrix(items).sum(axis=1)))

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataValidationError, LabeledSeries, as_series, check_count
+from .core import DataValidationError, LabeledSeries, as_series_list, check_count
 
 __all__ = [
     "FcnModel",
@@ -440,24 +440,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _stack_batch(series, dtype, name="batch") -> np.ndarray:
-    """(B, T, 1) array of same-length series in dtype.
-
-    Each series is checked by `core.as_series`. Raises ValueError for a
-    batch that mixes lengths, and names the dtype for a finite sample that
-    the cast turns into inf (beyond the float32 range, say). `name` only
-    labels the messages.
-    """
-    if not series:
-        raise ValueError("empty batch")
-    series = [as_series(s) for s in series]
+def _stack_batch(series, dtype, name: str, label="batch") -> np.ndarray:
+    """(B, T, 1) array in dtype of the series, which `core.as_series_list`
+    checks as `name`. ValueError, labelled `label`, for a batch that mixes
+    lengths, and naming the dtype for a finite sample the cast makes inf."""
+    series = as_series_list(series, name)
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
-        raise ValueError(f"{name} mixes series lengths {sorted(lengths)}")
+        raise ValueError(f"{label} mixes series lengths {sorted(lengths)}")
     with np.errstate(over="ignore"):
         x = np.asarray(series, dtype=dtype)
     if not np.isfinite(x).all():
-        raise ValueError(f"{name} has samples beyond the {x.dtype} range")
+        raise ValueError(f"{label} has samples beyond the {x.dtype} range")
     return x[:, :, None]
 
 
@@ -602,16 +596,20 @@ def forward(model: FcnModel, batch) -> np.ndarray:
     runs in the chunks of `_eval_chunks`, with the running-stat batch-norm
     folded into the convolutions, and the chunks of one length reuse one
     buffer set; the model is not changed. Each chunk checks its series with
-    `core.as_series` as it comes up.
+    `core.as_series_list` as it comes up, naming each by its batch index.
     """
     series = [s.series if isinstance(s, LabeledSeries) else s for s in batch]
-    if not series:
-        raise ValueError("empty batch")
+    return _forward(model, series, "forward: batch")
+
+
+def _forward(model: FcnModel, series: list, name: str) -> np.ndarray:
+    """`forward` of a list of series, which `as_series_list` calls `name`,
+    and refuses as one empty chunk when there are none."""
     folded = _folded_blocks(model)
     probs = np.empty((len(series), model.class_count), dtype=model.dtype)
     bufs = _Buffers(model, train=False)
-    for idx in _eval_chunks([np.size(s) for s in series]):
-        x = _stack_batch([series[i] for i in idx], model.dtype)
+    for idx in _eval_chunks([np.size(s) for s in series]) or [[]]:
+        x = _stack_batch({i: series[i] for i in idx}, model.dtype, name)
         probs[idx] = np.exp(_log_softmax(_eval_logits(model, x, folded, bufs)))
     return probs
 
@@ -623,12 +621,12 @@ def loss_and_gradients(model: FcnModel, batch):
     in training mode, so batch statistics are used and running statistics
     are updated. Gradients are returned as a dict keyed by the TRAINABLE
     tensor names. Labels that are not integers in 0..class_count-1, series
-    that `core.as_series` rejects and mixed lengths raise ValueError.
+    that `core.as_series_list` rejects and mixed lengths raise ValueError.
     Softmax plus cross-entropy is evaluated through log-sum-exp, so
     probabilities never underflow the log.
     """
     series, labels = _split_pairs(batch, model.class_count)
-    x = _stack_batch(series, model.dtype)
+    x = _stack_batch(series, model.dtype, "loss_and_gradients: batch")
     bufs = _Buffers(model, train=True)
     loss, grads, _ = _loss_and_gradients_impl(model, x, labels, bufs)
     return loss, grads
@@ -761,9 +759,7 @@ def train(model: FcnModel, train_split, config: TrainConfig):
     epochs = 0 the input model is returned as it is.
     """
     series, labels = _split_pairs(train_split, model.class_count)
-    if not series:
-        raise ValueError("train: empty train split")
-    x = _stack_batch(series, TRAIN_DTYPE, "train split")
+    x = _stack_batch(series, TRAIN_DTYPE, "train: train_split", "train split")
     if config.epochs == 0:
         return model, TrainHistory()
 
@@ -818,9 +814,8 @@ def evaluate(model: FcnModel, split) -> float:
     The split may mix series lengths.
     """
     series, labels = _split_pairs(split, model.class_count)
-    if not series:
-        raise ValueError("evaluate: empty split")
-    return int((forward(model, series).argmax(axis=1) == labels).sum()) / len(series)
+    probs = _forward(model, series, "evaluate: split")
+    return int((probs.argmax(axis=1) == labels).sum()) / len(series)
 
 
 def _eval_chunks(lengths) -> list[np.ndarray]:

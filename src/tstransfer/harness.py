@@ -230,8 +230,8 @@ def run_matrix(datasets, config: TrainConfig, seeds=(0,), *, out_dir) -> Variati
     cell depends on: the seeds, the TrainConfig fields but the unused
     `seed`, the dtype training computes in, the version of its numerics
     (`fcn.NUMERICS_VERSION`) and SHA-256 digests of the source and target
-    contents. A resume reuses a result only when all of them match this
-    run; a failure, or a cell file that is not a JSON object, is stale.
+    contents. A resume reuses a result only when all of them, its source and
+    its target match; a failure, or a cell file not a JSON object, is stale.
     Stale cells are recomputed in two phases: phase 1 trains one scratch
     model per (dataset, seed) of those cells and evaluates each target's
     baseline once per seed, then phase 2 runs `run_pair` per cell and seed
@@ -277,8 +277,8 @@ def run_matrix(datasets, config: TrainConfig, seeds=(0,), *, out_dir) -> Variati
                 record = _read_record(path)
             except DataValidationError:
                 record = {}
-            matches = (record.get(k) == v for k, v in provenance(s, t).items())
-            if "error" not in record and all(matches):
+            cell = {"source": s, "target": t, **provenance(s, t)}
+            if "error" not in record and all(record.get(k) == cell[k] for k in cell):
                 matrix.cells[(s, t)] = record
                 continue
         todo.append((s, t, path))

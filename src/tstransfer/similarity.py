@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DataValidationError, Dataset, check_datasets, group_by_class, parse_decimals,
+    DataValidationError, Dataset, as_series_list, check_datasets, group_by_class,
+    parse_decimals,
 )
 from .dba import dba_averages
 from .dtw import dtw_distance
@@ -42,10 +43,8 @@ class ClassPrototypes:
     prototypes: dict[int, np.ndarray]
 
     def __post_init__(self):
-        if not self.prototypes:
-            raise DataValidationError(
-                f"prototypes for {self.dataset_name!r} must be non-empty"
-            )
+        series = as_series_list(self.prototypes, "ClassPrototypes: prototypes")
+        object.__setattr__(self, "prototypes", dict(zip(self.prototypes, series)))
 
 
 @dataclass(frozen=True)

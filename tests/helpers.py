@@ -218,7 +218,7 @@ def finite_difference_gradients(model, batch, step: float = 1e-4,
 
     work = clone_model(model)
     series, labels = _split_pairs(batch, work.class_count)
-    x = _stack_batch(series, work.dtype)
+    x = _stack_batch(series, work.dtype, "batch")
     rows = np.arange(len(labels))
 
     def probe():

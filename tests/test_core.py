@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tstransfer import (
     as_series,
     build_model,
     dba_average,
+    dba_averages,
     dba_iteration,
     dtw_distance,
     dtw_path,
@@ -117,6 +119,52 @@ class TestOneSeriesRule:
             assert np.array_equal(scalar, array)
         else:
             assert scalar == array
+
+
+def _pairs(series):
+    return [(s, k % 2) for k, s in enumerate(series)]
+
+
+# Every entry point that takes a set of series, called with a set, and the
+# name its DataValidationError gives the set.
+_TWO = [np.zeros(8), np.ones(8)]
+SERIES_SETS = {
+    "pairwise_dtw_matrix": (pairwise_dtw_matrix, "pairwise_dtw_matrix: series"),
+    "medoid": (medoid, "medoid: series"),
+    "dba_iteration": (lambda ss: dba_iteration(np.zeros(8), ss), "dba_iteration: members"),
+    "dba_average": (dba_average, "dba_average: members"),
+    "dba_averages": (lambda ss: dba_averages([_TWO, ss]), "dba_averages: groups[1]"),
+    "forward": (lambda ss: forward(_model(), ss), "forward: batch"),
+    "evaluate": (lambda ss: evaluate(_model(), _pairs(ss)), "evaluate: split"),
+    "loss_and_gradients": (lambda ss: loss_and_gradients(_model(), _pairs(ss)),
+                           "loss_and_gradients: batch"),
+    "train": (lambda ss: train(_model(), _pairs(ss), TrainConfig(epochs=1)),
+              "train: train_split"),
+}
+
+
+class TestOneSeriesSetRule:
+    """`as_series_list` decides for every entry point what a valid set of
+    series is, and names a bad series by its index in the argument."""
+
+    @pytest.mark.parametrize("name", SERIES_SETS)
+    @pytest.mark.parametrize("series, message", [
+        ([], " is empty"),
+        ([*_TWO, np.array([0.5, np.nan] * 4)], "[2] contains non-finite samples"),
+    ], ids=["empty", "bad-member-2"])
+    def test_rejects(self, name, series, message):
+        call, argument = SERIES_SETS[name]
+        with pytest.raises(DataValidationError,
+                           match=f"^{re.escape(argument + message)}$"):
+            call(series)
+
+    def test_forward_names_a_series_by_its_batch_index_in_any_chunk(self):
+        # Series of length 8 go 150 to a chunk, the length-4 ones first.
+        batch = [np.zeros(8)] * 300 + [np.zeros(4)] * 5
+        batch[290] = np.full(8, np.inf)
+        with pytest.raises(DataValidationError,
+                           match=r"^forward: batch\[290\] contains non-finite samples$"):
+            forward(_model(), batch)
 
 
 def _dataset(class_count):
@@ -243,11 +291,69 @@ class TestOneDatasetListRule:
         assert list(tmp_path.iterdir()) == []
 
 
+# Values of every kind a caller might pass as a series, nested in lists
+# that may be ragged.
+_ANY_VALUE = st.recursive(
+    st.one_of(
+        st.floats(), st.integers(), st.integers(2**1024, 2**1100),
+        st.integers(-(2**1100), -(2**1024)), st.text(max_size=3),
+        st.binary(max_size=3), st.complex_numbers(), st.none(),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    ),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestSeriesValues:
+    """`as_series` takes real numbers only, and names the series otherwise."""
+
+    @pytest.mark.parametrize("value, message", [
+        (np.array([1 + 2j, 3]), "must hold real numbers, got complex128"),
+        (1 + 2j, "must hold real numbers, got complex128"),
+        (["1_000"], "must hold real numbers, got <U5"),
+        (b"12", "must hold real numbers, got |S2"),
+        ("abc", "must hold real numbers, got <U3"),
+        ({"a": 1}, "must hold real numbers, got object"),
+        ([[1, 2], [3]], "is not a series of numbers: setting an array element"),
+        (10**400, "is not a series of numbers: int too large to convert to float"),
+    ], ids=["complex-array", "complex", "underscore", "bytes", "text", "dict",
+            "ragged", "huge-int"])
+    def test_refuses_what_is_not_a_real_valued_series(self, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError, match=f"^s {re.escape(message)}"):
+                as_series(value, "s")
+
+    def test_ints_beyond_int64_within_float_range_are_read(self):
+        assert as_series(2**64).tolist() == [float(2**64)]
+        assert as_series([1, 2.5, 10**30]).tolist() == [1.0, 2.5, 1e30]
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_ANY_VALUE)
+    def test_returns_a_series_or_raises_a_data_error(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                s = as_series(value)
+            except DataValidationError:
+                return
+        assert s.dtype == np.float64 and s.ndim == 1 and s.size >= 1
+        assert not s.flags.writeable and np.isfinite(s).all()
+
+
 class TestSeriesAndDataset:
     def test_as_series_is_read_only(self):
         s = as_series([1.0, 2.0])
         with pytest.raises(ValueError):
             s[0] = 3.0
+
+    @pytest.mark.parametrize("name", [5, b"x", "", None, ("a",)],
+                             ids=["int", "bytes", "empty", "None", "tuple"])
+    def test_dataset_name_must_be_a_non_empty_str(self, name):
+        message = f"dataset name must be a non-empty str, got {name!r}"
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            Dataset(name=name, train=(LabeledSeries([1.0], 0),), test=(), class_count=1)
 
     def test_labeled_series_rejects_negative_label(self):
         with pytest.raises(DataValidationError):

@@ -157,11 +157,12 @@ class TestDbaAverage:
         assert np.array_equal(a, b)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="dba_average: empty member set"):
+        with pytest.raises(ValueError, match="^dba_average: members is empty$"):
             dba_average([])
 
     def test_rejects_a_bad_member_naming_it(self):
-        with pytest.raises(ValueError, match=r"dba: members\[1\] contains non-finite"):
+        with pytest.raises(ValueError,
+                           match=r"^dba_average: members\[1\] contains non-finite samples$"):
             dba_average([np.zeros(2), np.array([np.nan])])
 
 
@@ -221,7 +222,7 @@ class TestDbaAverages:
         assert dba_averages([]) == []
 
     def test_rejects_an_empty_group(self):
-        with pytest.raises(ValueError, match="group 1 has no members"):
+        with pytest.raises(ValueError, match=r"^dba_averages: groups\[1\] is empty$"):
             dba_averages([[np.zeros(2)], []])
 
     def test_rejects_a_bad_member_naming_its_group(self):

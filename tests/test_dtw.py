@@ -153,13 +153,16 @@ class TestMedoid:
         assert medoid([s, s.copy(), s.copy()]) == 0
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="medoid: empty collection"):
+        with pytest.raises(ValueError, match="^medoid: series is empty$"):
             medoid([])
 
     def test_names_a_bad_member_by_its_index(self):
-        with pytest.raises(ValueError, match=r"dtw: members\[2\] contains non-finite"):
+        with pytest.raises(ValueError,
+                           match=r"^medoid: series\[2\] contains non-finite samples$"):
             medoid([[0.0, 1.0], [2.0], [1.0, -np.inf]])
-        with pytest.raises(ValueError, match=r"dtw: members\[0\] contains non-finite"):
+        with pytest.raises(
+                ValueError,
+                match=r"^pairwise_dtw_matrix: series\[0\] contains non-finite samples$"):
             pairwise_dtw_matrix([[np.inf]])
 
     @PROPERTY

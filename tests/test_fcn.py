@@ -240,7 +240,7 @@ class TestLayerPrimitives:
         # the network pools its last block's activations over time
         rng = np.random.default_rng(6)
         m = build_model(2, seed=6, filters=TINY)
-        x = _stack_batch([rng.standard_normal(7) for _ in range(2)], m.dtype)
+        x = _stack_batch([rng.standard_normal(7) for _ in range(2)], m.dtype, "batch")
         _, (caches, gap) = _train_forward(m, x)
         _, xhat, _ = caches[2]
         act = np.maximum(xhat * m["bn3.gamma"] + m["bn3.beta"], 0.0)
@@ -482,7 +482,7 @@ class TestEvalPath:
             m[f"bn{k}.gamma"] = rng.uniform(0.5, 1.5, c)
             m[f"bn{k}.beta"] = 0.3 * rng.standard_normal(c)
             m[f"conv{k}.bias"] = 0.1 * rng.standard_normal(c)
-        x = _stack_batch([rng.standard_normal(15) for _ in range(5)], m.dtype)
+        x = _stack_batch([rng.standard_normal(15) for _ in range(5)], m.dtype, "batch")
         before = model_bytes(m)
         logits = _eval_logits(m, x, _folded_blocks(m))
         assert model_bytes(m) == before
@@ -804,7 +804,7 @@ class TestTrain:
         for _ in range(config.epochs):
             loss_sum = correct = 0
             for idx in _epoch_batches(order.permutation(n), batch_size):
-                x = _stack_batch([split[i][0] for i in idx], dtype)
+                x = _stack_batch([split[i][0] for i in idx], dtype, "batch")
                 labels = np.array([split[i][1] for i in idx])
                 loss, grads, hits = _loss_and_gradients_impl(
                     work, x, labels, _Buffers(work, train=True)

@@ -383,6 +383,25 @@ class TestRunMatrix:
         assert resumed.cells == fresh.cells
         assert path.read_bytes() == written
 
+    def test_resume_recomputes_a_file_that_holds_another_cell(
+        self, tmp_path, monkeypatch
+    ):
+        a, b = tiny_datasets(2)
+        # C holds B's splits, so a cell into B has the provenance of one into C.
+        datasets = [a, b, *named([b], ["C"])]
+        out = tmp_path / "res"
+        fresh = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
+        path = out / "cells" / "A__C.json"
+        written = path.read_bytes()
+        path.write_bytes((out / "cells" / "A__B.json").read_bytes())
+        pairs = record_calls(monkeypatch, harness, "run_pair")
+        resumed = run_matrix(datasets, FAST, seeds=[0], out_dir=out)
+        assert cells_of(pairs) == [("A", "C")]
+        assert resumed.cells == fresh.cells
+        assert resumed.cells[("A", "C")]["target"] == "C"
+        assert path.read_bytes() == written
+        assert load_matrix_results(out).cells == fresh.cells
+
     @pytest.mark.parametrize("content", ["[]", '{"source": "A", "tar'])
     def test_load_rejects_a_malformed_cell_file(self, tmp_path, content):
         out = tmp_path / "bad"
@@ -520,7 +539,7 @@ class TestRunMatrix:
         matrix = run_matrix([a, b], FAST, out_dir=tmp_path)
         # B's baseline fails in phase 1, so the cell into B fine-tunes nothing
         assert [args["target"].name for _, args in tuned] == ["A"]
-        assert matrix.failures == {("A", "B"): "ValueError: evaluate: empty split"}
+        assert matrix.failures == {("A", "B"): "DataValidationError: evaluate: split is empty"}
         assert set(matrix.cells) == {("B", "A")}
 
     def test_a_failed_training_at_a_later_seed_costs_no_fine_tune(self, tmp_path,
